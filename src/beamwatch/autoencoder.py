@@ -5,10 +5,11 @@ A window of k seconds and m channels is compressed into the encoder's final
 hidden state and reconstructed back to a k x m matrix; training minimizes
 the mean absolute reconstruction error with Adam.
 
-The public `forward` / `reconstruction_errors` path processes windows one at
-a time through the serial cell ops, so batch results are bitwise identical
-to per-window calls. Training uses the batched fast path from `nn`, which is
-deterministic run to run for fixed seeds.
+Training and inference run the same time-major batched forward from `nn`.
+Training keeps the per-step caches for BPTT; inference (`forward`,
+`reconstruction_errors`) keeps none and works in zero-padded chunks of
+`INFERENCE_CHUNK` windows, so every matrix product has one shape and a
+window's result is bitwise the same whatever batch, chunk or row it is in.
 """
 
 from __future__ import annotations
@@ -21,10 +22,15 @@ import numpy as np
 
 from . import nn
 from .data import ChannelStats
-from .errors import ConfigError, DataError, ParseError, ShapeError, VersionError
+from .errors import (BeamwatchError, ConfigError, DataError, ParseError, ShapeError,
+                     VersionError)
 from .ioutil import atomic_write_text
 
 SCHEMA_VERSION = 1
+
+# Windows per inference chunk (the default training batch size). The last
+# chunk is zero-padded to this size; the padding rows are discarded.
+INFERENCE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -157,32 +163,56 @@ def _check_batch(config: AutoencoderConfig, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _forward_window(model: ModelArtifact, window: np.ndarray,
-                    latent_mask: np.ndarray | None,
-                    dec_mask: np.ndarray | None) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Forward (time-major internals, shared by training and inference)
+
+
+def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
+                          latent_mask: np.ndarray | None,
+                          dec_mask: np.ndarray | None, keep_cache: bool = True):
+    """Batched forward on a time-major [k, n, m] batch; dropout masks are
+    latent_mask [n, h] and dec_mask [k, n, h] (None = off). Returns the
+    time-major reconstruction and the intermediates _backward_batch needs,
+    or None for them when keep_cache is false."""
     k = model.config.window_k
-    h = np.zeros(model.config.hidden_dim)
-    c = np.zeros(model.config.hidden_dim)
-    for t in range(k):
-        h, c, _ = nn.lstm_cell_forward(window[t], h, c, model.encoder_lstm)
-    latent = h if latent_mask is None else h * latent_mask
-    h = np.zeros(model.config.hidden_dim)
-    c = np.zeros(model.config.hidden_dim)
-    out = np.empty((k, model.config.feature_m))
-    for t in range(k):
-        h, c, _ = nn.lstm_cell_forward(latent, h, c, model.decoder_lstm)
-        hd = h if dec_mask is None else h * dec_mask[t]
-        out[t] = nn.dense_forward(hd, model.output_dense)
-    return out
+    enc_seq, enc_cache = nn.lstm_forward_batch(batch_tm, model.encoder_lstm, keep_cache)
+    latent = enc_seq[-1]
+    latent_d = latent if latent_mask is None else latent * latent_mask
+    dec_seq, dec_cache = nn.lstm_forward_repeat(latent_d, k, model.decoder_lstm, keep_cache)
+    dec_d = dec_seq if dec_mask is None else dec_seq * dec_mask
+    n = batch_tm.shape[1]
+    hd = model.config.hidden_dim
+    flat = dec_d.reshape(k * n, hd)
+    recon_tm = (flat @ model.output_dense.weight.T + model.output_dense.bias) \
+        .reshape(k, n, model.config.feature_m)
+    if not keep_cache:
+        return recon_tm, None
+    cache = {
+        "enc_cache": enc_cache, "dec_cache": dec_cache,
+        "latent_mask": latent_mask, "dec_mask": dec_mask, "dec_d": dec_d,
+    }
+    return recon_tm, cache
+
+
+def _padded_chunk(a: np.ndarray | None, lo: int) -> np.ndarray | None:
+    """Rows lo:lo+INFERENCE_CHUNK of `a` along axis -2, zero-padded to a full
+    chunk (None stays None)."""
+    if a is None:
+        return None
+    part = a[..., lo:lo + INFERENCE_CHUNK, :]
+    width = [(0, 0)] * a.ndim
+    width[-2] = (0, INFERENCE_CHUNK - part.shape[-2])
+    return np.pad(part, width)
 
 
 def forward(model: ModelArtifact, batch: np.ndarray, mode: str = "eval",
             rng: np.random.Generator | None = None) -> np.ndarray:
     """Reconstruct a [n, k, m] batch of windows.
 
-    Eval mode is deterministic (dropout off). Train mode draws one dropout
-    mask per window from `rng`. Windows are processed independently, so
-    results do not depend on batch composition.
+    Eval mode is deterministic (dropout off). Train mode draws latent masks
+    [n, h] and then decoder masks [n, k, h] from `rng`. Windows run in
+    zero-padded chunks of INFERENCE_CHUNK, so results do not depend on batch
+    composition.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -194,16 +224,16 @@ def forward(model: ModelArtifact, batch: np.ndarray, mode: str = "eval",
             raise ConfigError("train-mode forward requires a seeded rng")
         k, hd = model.config.window_k, model.config.hidden_dim
         latent_masks = nn.dropout_mask((n, hd), rate, rng)
-        dec_masks = nn.dropout_mask((n, k, hd), rate, rng)
+        dec_masks_tm = np.swapaxes(nn.dropout_mask((n, k, hd), rate, rng), 0, 1)
     else:
-        latent_masks = dec_masks = None
+        latent_masks = dec_masks_tm = None
+    batch_tm = np.swapaxes(batch, 0, 1)
     recon = np.empty_like(batch)
-    for idx in range(n):
-        recon[idx] = _forward_window(
-            model, batch[idx],
-            None if latent_masks is None else latent_masks[idx],
-            None if dec_masks is None else dec_masks[idx],
-        )
+    for lo in range(0, n, INFERENCE_CHUNK):
+        recon_tm, _ = _forward_batch_cached(
+            model, _padded_chunk(batch_tm, lo), _padded_chunk(latent_masks, lo),
+            _padded_chunk(dec_masks_tm, lo), keep_cache=False)
+        recon[lo:lo + INFERENCE_CHUNK] = np.swapaxes(recon_tm[:, :n - lo], 0, 1)
     return recon
 
 
@@ -215,31 +245,7 @@ def reconstruction_errors(model: ModelArtifact, windows: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Training (batched fast path, time-major internals)
-
-
-def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
-                          latent_mask: np.ndarray | None,
-                          dec_mask: np.ndarray | None):
-    """Batched forward on a time-major [k, n, m] batch with cached
-    intermediates; dropout masks are latent_mask [n, h] and dec_mask
-    [k, n, h] (None = off)."""
-    k = model.config.window_k
-    enc_seq, enc_cache = nn.lstm_forward_batch(batch_tm, model.encoder_lstm)
-    latent = enc_seq[-1]
-    latent_d = latent if latent_mask is None else latent * latent_mask
-    dec_seq, dec_cache = nn.lstm_forward_repeat(latent_d, k, model.decoder_lstm)
-    dec_d = dec_seq if dec_mask is None else dec_seq * dec_mask
-    n = batch_tm.shape[1]
-    hd = model.config.hidden_dim
-    flat = dec_d.reshape(k * n, hd)
-    recon_tm = (flat @ model.output_dense.weight.T + model.output_dense.bias) \
-        .reshape(k, n, model.config.feature_m)
-    cache = {
-        "enc_cache": enc_cache, "dec_cache": dec_cache,
-        "latent_mask": latent_mask, "dec_mask": dec_mask, "dec_d": dec_d,
-    }
-    return recon_tm, cache
+# Training
 
 
 def _backward_batch(model: ModelArtifact, d_recon_tm: np.ndarray, cache) -> dict[str, np.ndarray]:
@@ -378,8 +384,10 @@ def model_to_json(model: ModelArtifact) -> str:
 
 
 def model_from_json(text: str) -> ModelArtifact:
-    """Parse a model document; schema mismatches and malformed content are
-    rejected outright (no partially loaded model)."""
+    """Parse a model document; schema mismatches (VersionError) and malformed
+    or invalid content (ParseError: missing fields, wrong shapes, non-finite
+    weights or channel stats) are rejected outright (no partially loaded
+    model)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -420,7 +428,7 @@ def model_from_json(text: str) -> ModelArtifact:
             channel_stats=stats,
             threshold=None if threshold is None else float(threshold),
         )
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, BeamwatchError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None
 
 

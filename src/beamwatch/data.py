@@ -106,6 +106,8 @@ class ChannelStats:
         m = len(self.channels)
         if self.mean.shape != (m,) or self.std.shape != (m,):
             raise ShapeError("stats arrays must have one entry per channel")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise DataError("channel mean and std must be finite")
         if not np.all(self.std > 0):
             raise DataError("channel std must be positive")
 

@@ -7,12 +7,14 @@ collections handed to the optimizer and the gradient oracle are flat dicts
 mapping tensor names to arrays; gradient sets mirror those dicts shape for
 shape.
 
-The single-sequence ops (`lstm_cell_forward`, `lstm_sequence_forward`,
-`dense_forward`) define the reference semantics: the sequence op is literally
-the iterated cell op, so the two agree bitwise. The `*_batch` variants stack
-many sequences into one matrix product per timestep; they are used by the
-training loop, which only needs run-to-run determinism, not bitwise equality
-with the serial path.
+The time-major `*_batch` / `*_repeat` ops stack many sequences into one
+matrix product per timestep and are the only path the model runs on, for
+training and inference alike; both forward ops share one step loop, which
+keeps the per-step gate caches only when BPTT will need them. The
+single-sequence ops (`lstm_cell_forward`, `lstm_cell_backward`,
+`lstm_sequence_forward`, `dense_forward`) are the serial reference that the
+tests check the batched ops against; they agree up to floating-point
+reassociation.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 
 GradientSet = dict[str, np.ndarray]
-
-GATE_ORDER = ("input", "forget", "candidate", "output")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -379,13 +379,16 @@ def finite_diff_grad(
 
 
 # ---------------------------------------------------------------------------
-# Batched LSTM (training fast path, time-major)
+# Batched LSTM (time-major; training and inference)
 #
 # The batch variants take [k, n, ...] time-major arrays so each step works on
 # contiguous [n, ...] blocks, project all inputs through the input kernel in
 # one matrix product, and defer the weight-gradient products to single large
 # GEMMs after the step loop. They agree with the serial ops up to
-# floating-point reassociation.
+# floating-point reassociation. Rows never mix: a row's result depends only on
+# that row's input and on the batch shape.
+
+_STEP_CACHE_KEYS = ("i", "f", "g", "o", "c")
 
 
 def _lstm_gates(z: np.ndarray, hd: int):
@@ -395,14 +398,44 @@ def _lstm_gates(z: np.ndarray, hd: int):
     return sif[:, :hd], sif[:, hd:], g, o
 
 
+def _lstm_steps(xp: np.ndarray, k: int, params: LstmLayerParams,
+                cache: dict | None) -> np.ndarray:
+    """Forward step loop shared by lstm_forward_batch and lstm_forward_repeat.
+
+    xp is the input projection plus bias: per step [k, n, 4*hidden], or one
+    [n, 4*hidden] block that every step reuses. Returns the [k, n, hidden]
+    hidden states. Only when `cache` is given does it keep what BPTT needs
+    (per-step gates and cell states, the hidden stack, n and k) in it.
+    """
+    n, hd = xp.shape[-2], params.hidden_dim
+    wh_t = params.recurrent_kernel.T
+    h = np.zeros((n, hd))
+    c = np.zeros((n, hd))
+    h_seq = np.empty((k, n, hd))
+    if cache is not None:
+        cache.update({q: [] for q in _STEP_CACHE_KEYS}, h_seq=h_seq, n=n, k=k)
+    for t in range(k):
+        z = (xp[t] if xp.ndim == 3 else xp) + h @ wh_t
+        i, f, g, o = _lstm_gates(z, hd)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        if cache is not None:
+            for q, value in zip(_STEP_CACHE_KEYS, (i, f, g, o, c)):
+                cache[q].append(value)
+        h_seq[t] = h
+    return h_seq
+
+
 def lstm_forward_batch(
     seqs_tm: np.ndarray,
     params: LstmLayerParams,
-) -> tuple[np.ndarray, dict]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, dict | None]:
     """Run the LSTM over a time-major [k, n, input_dim] batch.
 
     Initial states are zero. Returns the [k, n, hidden_dim] hidden-state
-    stack and the cache consumed by lstm_backward_batch.
+    stack and the cache consumed by lstm_backward_batch (None when
+    keep_cache is false, as in inference).
     """
     seqs_tm = _as_f64(seqs_tm)
     if seqs_tm.ndim != 3 or seqs_tm.shape[2] != params.input_dim:
@@ -410,25 +443,65 @@ def lstm_forward_batch(
     k, n, _ = seqs_tm.shape
     if k < 1:
         raise ShapeError("empty sequence")
-    hd = params.hidden_dim
     x_flat = seqs_tm.reshape(k * n, params.input_dim)
-    xp = (x_flat @ params.input_kernel.T + params.bias).reshape(k, n, 4 * hd)
-    wh_t = params.recurrent_kernel.T
+    xp = (x_flat @ params.input_kernel.T + params.bias).reshape(k, n, 4 * params.hidden_dim)
+    cache = {"x_flat": x_flat} if keep_cache else None
+    return _lstm_steps(xp, k, params, cache), cache
 
-    h = np.zeros((n, hd))
-    c = np.zeros((n, hd))
-    h_seq = np.empty((k, n, hd))
-    gi, gf, gg, go, cs = [], [], [], [], []
-    for t in range(k):
-        z = xp[t] + h @ wh_t
-        i, f, g, o = _lstm_gates(z, hd)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gi.append(i); gf.append(f); gg.append(g); go.append(o); cs.append(c)
-        h_seq[t] = h
-    cache = {"x_flat": x_flat, "h_seq": h_seq, "i": gi, "f": gf, "g": gg,
-             "o": go, "c": cs, "n": n, "k": k}
-    return h_seq, cache
+
+def lstm_forward_repeat(
+    x: np.ndarray,
+    k: int,
+    params: LstmLayerParams,
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, dict | None]:
+    """LSTM over k steps that all receive the same [n, input_dim] input.
+
+    This is the decoder's RepeatVector pattern: the input projection is
+    computed once instead of per step. The cache is None unless keep_cache.
+    """
+    x = _as_f64(x)
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ShapeError(f"input must be [n, {params.input_dim}], got {x.shape}")
+    if k < 1:
+        raise ShapeError("empty sequence")
+    xp = x @ params.input_kernel.T + params.bias
+    cache = {"x": x} if keep_cache else None
+    return _lstm_steps(xp, k, params, cache), cache
+
+
+def _lstm_bptt(
+    cache: dict,
+    params: LstmLayerParams,
+    d_h_seq: np.ndarray | None,
+    d_h_last: np.ndarray | None,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """BPTT step loop shared by lstm_backward_batch and lstm_backward_repeat.
+
+    Runs from the last step to the first and returns the pre-activation
+    gradients dz [k, n, 4*hidden] with the recurrent-kernel and bias
+    gradients; the input-kernel gradient depends on how inputs were fed.
+    """
+    n, k, hd = cache["n"], cache["k"], params.hidden_dim
+    dz = np.empty((k, n, 4 * hd))
+    dh_carry = np.zeros((n, hd)) if d_h_last is None else _as_f64(d_h_last).copy()
+    dc_carry = np.zeros((n, hd))
+    for t in range(k - 1, -1, -1):
+        dh = dh_carry if d_h_seq is None else dh_carry + d_h_seq[t]
+        i, f, g, o, c = (cache[q][t] for q in _STEP_CACHE_KEYS)
+        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((n, hd))
+        tanh_c = np.tanh(c)
+        dz_t = dz[t]
+        dz_t[:, 3 * hd:] = dh * tanh_c * o * (1.0 - o)
+        dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
+        dz_t[:, :hd] = dc * g * i * (1.0 - i)
+        dz_t[:, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
+        dz_t[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
+        dh_carry = dz_t @ params.recurrent_kernel
+        dc_carry = dc * f
+    dz_flat = dz.reshape(k * n, 4 * hd)
+    h_prev_flat = np.vstack([np.zeros((n, hd)), cache["h_seq"][:-1].reshape((k - 1) * n, hd)])
+    return dz, {"recurrent_kernel": dz_flat.T @ h_prev_flat, "bias": dz_flat.sum(axis=0)}
 
 
 def lstm_backward_batch(
@@ -442,72 +515,15 @@ def lstm_backward_batch(
 
     d_h_seq [k, n, hidden] carries gradients into every step's hidden output;
     d_h_last [n, hidden] carries an extra gradient into the final step only.
-    Returns (d_inputs [k, n, input_dim] or None, grads dict). The step loop
-    runs from the last step to the first.
+    Returns (d_inputs [k, n, input_dim] or None, grads dict).
     """
-    n, k, hd = cache["n"], cache["k"], params.hidden_dim
-    dz = np.empty((k, n, 4 * hd))
-    dh_carry = np.zeros((n, hd)) if d_h_last is None else _as_f64(d_h_last).copy()
-    dc_carry = np.zeros((n, hd))
-    for t in range(k - 1, -1, -1):
-        dh = dh_carry if d_h_seq is None else dh_carry + d_h_seq[t]
-        i, f, g, o, c = (cache[q][t] for q in ("i", "f", "g", "o", "c"))
-        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((n, hd))
-        tanh_c = np.tanh(c)
-        dz_t = dz[t]
-        dz_t[:, 3 * hd:] = dh * tanh_c * o * (1.0 - o)
-        dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
-        dz_t[:, :hd] = dc * g * i * (1.0 - i)
-        dz_t[:, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
-        dz_t[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
-        dh_carry = dz_t @ params.recurrent_kernel
-        dc_carry = dc * f
-    dz_flat = dz.reshape(k * n, 4 * hd)
-    h_prev_flat = np.vstack([np.zeros((n, hd)), cache["h_seq"][:-1].reshape((k - 1) * n, hd)])
-    grads = {
-        "input_kernel": dz_flat.T @ cache["x_flat"],
-        "recurrent_kernel": dz_flat.T @ h_prev_flat,
-        "bias": dz_flat.sum(axis=0),
-    }
+    dz, grads = _lstm_bptt(cache, params, d_h_seq, d_h_last)
+    k, n = cache["k"], cache["n"]
+    dz_flat = dz.reshape(k * n, 4 * params.hidden_dim)
+    grads["input_kernel"] = dz_flat.T @ cache["x_flat"]
     d_x = (dz_flat @ params.input_kernel).reshape(k, n, params.input_dim) \
         if need_input_grads else None
     return d_x, grads
-
-
-def lstm_forward_repeat(
-    x: np.ndarray,
-    k: int,
-    params: LstmLayerParams,
-) -> tuple[np.ndarray, dict]:
-    """LSTM over k steps that all receive the same [n, input_dim] input.
-
-    This is the decoder's RepeatVector pattern: the input projection is
-    computed once instead of per step.
-    """
-    x = _as_f64(x)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(f"input must be [n, {params.input_dim}], got {x.shape}")
-    if k < 1:
-        raise ShapeError("empty sequence")
-    n = x.shape[0]
-    hd = params.hidden_dim
-    xp = x @ params.input_kernel.T + params.bias
-    wh_t = params.recurrent_kernel.T
-
-    h = np.zeros((n, hd))
-    c = np.zeros((n, hd))
-    h_seq = np.empty((k, n, hd))
-    gi, gf, gg, go, cs = [], [], [], [], []
-    for t in range(k):
-        z = xp + h @ wh_t
-        i, f, g, o = _lstm_gates(z, hd)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gi.append(i); gf.append(f); gg.append(g); go.append(o); cs.append(c)
-        h_seq[t] = h
-    cache = {"x": x, "h_seq": h_seq, "i": gi, "f": gf, "g": gg, "o": go,
-             "c": cs, "n": n, "k": k}
-    return h_seq, cache
 
 
 def lstm_backward_repeat(
@@ -520,29 +536,7 @@ def lstm_backward_repeat(
     Returns (d_input [n, input_dim], grads); the per-step input gradients
     collapse into one sum because every step saw the same input.
     """
-    n, k, hd = cache["n"], cache["k"], params.hidden_dim
-    dz = np.empty((k, n, 4 * hd))
-    dh_carry = np.zeros((n, hd))
-    dc_carry = np.zeros((n, hd))
-    for t in range(k - 1, -1, -1):
-        dh = dh_carry + d_h_seq[t]
-        i, f, g, o, c = (cache[q][t] for q in ("i", "f", "g", "o", "c"))
-        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((n, hd))
-        tanh_c = np.tanh(c)
-        dz_t = dz[t]
-        dz_t[:, 3 * hd:] = dh * tanh_c * o * (1.0 - o)
-        dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
-        dz_t[:, :hd] = dc * g * i * (1.0 - i)
-        dz_t[:, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
-        dz_t[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
-        dh_carry = dz_t @ params.recurrent_kernel
-        dc_carry = dc * f
-    dz_flat = dz.reshape(k * n, 4 * hd)
+    dz, grads = _lstm_bptt(cache, params, d_h_seq, None)
     dz_sum = dz.sum(axis=0)
-    h_prev_flat = np.vstack([np.zeros((n, hd)), cache["h_seq"][:-1].reshape((k - 1) * n, hd)])
-    grads = {
-        "input_kernel": dz_sum.T @ cache["x"],
-        "recurrent_kernel": dz_flat.T @ h_prev_flat,
-        "bias": dz_flat.sum(axis=0),
-    }
+    grads["input_kernel"] = dz_sum.T @ cache["x"]
     return dz_sum @ params.input_kernel, grads

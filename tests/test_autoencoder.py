@@ -142,6 +142,78 @@ class TestReconstructionErrors:
         assert np.array_equal(ae.reconstruction_errors(model, windows[perm]), base[perm])
 
 
+def serial_reconstruction(model: ae.ModelArtifact, windows: np.ndarray,
+                          latent_masks=None, dec_masks=None) -> np.ndarray:
+    """Reference forward: one window at a time through the serial cell op."""
+    k, hd = model.config.window_k, model.config.hidden_dim
+    out = np.empty_like(windows)
+    for idx, window in enumerate(windows):
+        h = c = np.zeros(hd)
+        for t in range(k):
+            h, c, _ = nn.lstm_cell_forward(window[t], h, c, model.encoder_lstm)
+        latent = h if latent_masks is None else h * latent_masks[idx]
+        h = c = np.zeros(hd)
+        for t in range(k):
+            h, c, _ = nn.lstm_cell_forward(latent, h, c, model.decoder_lstm)
+            h_out = h if dec_masks is None else h * dec_masks[idx, t]
+            out[idx, t] = nn.dense_forward(h_out, model.output_dense)
+    return out
+
+
+def random_model(rng, k: int, m: int, hd: int, dropout_rate: float = 0.0) -> ae.ModelArtifact:
+    model = ae.init_model(ae.AutoencoderConfig(window_k=k, feature_m=m, hidden_dim=hd,
+                                               dropout_rate=dropout_rate))
+    return model.with_parameters({name: 0.7 * rng.standard_normal(t.shape)
+                                  for name, t in model.parameters().items()})
+
+
+CHUNK = ae.INFERENCE_CHUNK
+
+
+class TestBatchedInference:
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("k,m,hd", [(1, 1, 1), (1, 3, 4), (4, 2, 1), (6, 2, 5)])
+    def test_matches_serial_reference(self, rng, k, m, hd, n):
+        model = random_model(rng, k, m, hd)
+        windows = rng.standard_normal((n, k, m))
+        want = serial_reconstruction(model, windows)
+        got = ae.forward(model, windows)
+        assert got.shape == (n, k, m)
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+        errors = ae.reconstruction_errors(model, windows)
+        assert errors.shape == (n,)
+        want_errors = np.mean(np.abs(want - windows), axis=(1, 2))
+        assert np.max(np.abs(errors - want_errors), initial=0.0) < 1e-12
+
+    def test_train_mode_matches_serial_reference_with_same_masks(self, rng):
+        model = random_model(rng, 4, 2, 3, dropout_rate=0.3)
+        n, hd = CHUNK + 3, 3
+        windows = rng.standard_normal((n, 4, 2))
+        got = ae.forward(model, windows, mode="train", rng=np.random.default_rng(5))
+        masks_rng = np.random.default_rng(5)
+        latent_masks = nn.dropout_mask((n, hd), 0.3, masks_rng)
+        dec_masks = nn.dropout_mask((n, 4, hd), 0.3, masks_rng)
+        want = serial_reconstruction(model, windows, latent_masks, dec_masks)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_bitwise_invariant_to_batching(self, rng):
+        model = random_model(rng, 5, 3, 6)
+        n = 2 * CHUNK + 5
+        windows = rng.standard_normal((n, 5, 3))
+        full = ae.forward(model, windows)
+        errors = ae.reconstruction_errors(model, windows)
+        perm = rng.permutation(n)
+        assert np.array_equal(ae.forward(model, windows[perm]), full[perm])
+        assert np.array_equal(ae.reconstruction_errors(model, windows[perm]), errors[perm])
+        for lo, hi in [(0, 1), (3, CHUNK + 7), (CHUNK - 1, CHUNK + 1), (CHUNK + 2, n), (n - 1, n)]:
+            assert np.array_equal(ae.forward(model, windows[lo:hi]), full[lo:hi]), (lo, hi)
+            assert np.array_equal(ae.reconstruction_errors(model, windows[lo:hi]),
+                                  errors[lo:hi]), (lo, hi)
+        for idx in range(0, n, 11):
+            assert np.array_equal(ae.forward(model, windows[idx:idx + 1])[0], full[idx])
+            assert ae.reconstruction_errors(model, windows[idx:idx + 1])[0] == errors[idx]
+
+
 class TestTraining:
     def test_zero_epochs_no_change(self, rng):
         model = ae.init_model(TINY)
@@ -276,6 +348,15 @@ class TestSerialization:
         doc = json.loads(ae.model_to_json(model))
         doc["encoder_lstm"]["bias"] = [0.0, 1.0]
         path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            ae.load_model(path)
+
+    @pytest.mark.parametrize("field,value", [("mean", float("nan")), ("std", float("inf"))])
+    def test_non_finite_channel_stats(self, tmp_path, field, value):
+        doc = json.loads(ae.model_to_json(self._calibrated_model()))
+        doc["channel_stats"][field][0] = value
+        path = tmp_path / "stats.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             ae.load_model(path)

@@ -208,6 +208,13 @@ class TestChannelStats:
         with pytest.raises(DataError):
             data.compute_channel_stats(empty)
 
+    @pytest.mark.parametrize("mean,std", [([np.nan, 0.0], [1.0, 1.0]),
+                                          ([0.0, np.inf], [1.0, 1.0]),
+                                          ([0.0, 0.0], [1.0, np.inf])])
+    def test_non_finite_stats_rejected(self, mean, std):
+        with pytest.raises(DataError):
+            data.ChannelStats(("a", "b"), np.array(mean), np.array(std))
+
 
 class TestStandardize:
     def test_identity_stats(self, rng):

@@ -301,6 +301,31 @@ class TestFiniteDiff:
         assert np.array_equal(params["t"], [1.0, 2.0])
 
 
+class TestBatchLstmForward:
+    """The batched forward ops against the iterated serial cell; dropping the
+    BPTT cache changes no bit of the output."""
+
+    @pytest.mark.parametrize("repeat_input", [False, True], ids=["batch", "repeat"])
+    def test_matches_serial_cell_with_or_without_cache(self, rng, repeat_input):
+        k, n, d, hd = 4, 3, 2, 5
+        params = random_lstm_params(rng, d, hd)
+        if repeat_input:
+            x = rng.standard_normal((n, d))
+            seqs = np.broadcast_to(x, (k, n, d))
+            h_seq, cache = nn.lstm_forward_repeat(x, k, params)
+            bare, no_cache = nn.lstm_forward_repeat(x, k, params, keep_cache=False)
+        else:
+            seqs = rng.standard_normal((k, n, d))
+            h_seq, cache = nn.lstm_forward_batch(seqs, params)
+            bare, no_cache = nn.lstm_forward_batch(seqs, params, keep_cache=False)
+        for row in range(n):
+            want = nn.lstm_sequence_forward(seqs[:, row], params, return_sequences=True)
+            assert np.max(np.abs(h_seq[:, row] - want)) < 1e-12
+        assert len(cache["c"]) == k and cache["h_seq"] is h_seq
+        assert no_cache is None
+        assert np.array_equal(bare, h_seq)
+
+
 class TestBatchLstmGradients:
     """BPTT through the batched forward matches the finite-difference oracle
     for random small networks (the MAE target keeps clear of its kink)."""
