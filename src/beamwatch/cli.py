@@ -21,25 +21,29 @@ from .errors import BeamwatchError, ConfigError, DataError
 from .ioutil import atomic_write_text
 
 
+def _parse_file(path, parse, *args):
+    """Read and parse one input file; an error in its content names the file."""
+    try:
+        return parse(Path(path).read_text(), *args)
+    except BeamwatchError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _read_series(cfg: RunConfig) -> list[data.RawSeries]:
-    out = []
-    for path in cfg.series_files:
-        text = Path(path).read_text()
-        out.append(data.parse_series_csv(text, channel_name=Path(path).stem))
-    return out
+    return [_parse_file(p, data.parse_series_csv, Path(p).stem) for p in cfg.series_files]
 
 
 def _read_current(cfg: RunConfig) -> data.RawSeries:
     """Parse the beam-current file and align it to the 1 Hz grid."""
-    series = data.parse_series_csv(Path(cfg.current_file).read_text(),
-                                   channel_name=Path(cfg.current_file).stem)
+    series = _parse_file(cfg.current_file, data.parse_series_csv,
+                         Path(cfg.current_file).stem)
     frame = data.align_and_fill([series])
     return data.RawSeries(series.channel_name,
                           frame.timestamps.astype(float), frame.values[:, 0])
 
 
 def _ground_truth(cfg: RunConfig, current: data.RawSeries) -> list[faults.FaultEvent]:
-    lists = [faults.parse_fault_events(Path(p).read_text()) for p in cfg.fault_files]
+    lists = [_parse_file(p, faults.parse_fault_events) for p in cfg.fault_files]
     lists.append(faults.detect_current_drops(current, cfg.current_drop_threshold))
     return faults.merge_event_lists(lists, cfg.coalesce_gap)
 
@@ -163,8 +167,8 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 def cmd_eval(cfg: RunConfig) -> None:
     """Score the anomaly CSV against ground truth over the test span."""
-    anomalies = detect.parse_anomaly_csv(
-        (Path(cfg.output_dir) / "anomalies.csv").read_text())
+    anomalies = _parse_file(Path(cfg.output_dir) / "anomalies.csv",
+                            detect.parse_anomaly_csv)
     current = _read_current(cfg)
     truth = _ground_truth(cfg, current)
 

@@ -144,6 +144,31 @@ def _match_interval(fault: FaultEvent, lead_window: int, mode: str) -> tuple[int
     return fault.start - lead_window, fault.end
 
 
+def _overlaps_any(intervals: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each inclusive [lo, hi] row of `queries`, whether any inclusive
+    interval row of `intervals` overlaps it.
+
+    With the intervals sorted by start, those starting at or before a
+    query's end form a prefix; one of them overlaps the query exactly when
+    the prefix's largest end reaches the query's start.
+    """
+    if len(intervals) == 0:
+        return np.zeros(len(queries), dtype=bool)
+    order = np.argsort(intervals[:, 0])
+    starts = intervals[order, 0]
+    reach = np.maximum.accumulate(intervals[order, 1])
+    prefix = np.searchsorted(starts, queries[:, 1], side="right")
+    return (prefix > 0) & (reach[np.maximum(prefix - 1, 0)] >= queries[:, 0])
+
+
+def _covered_seconds(intervals: np.ndarray, n_seconds: int) -> np.ndarray:
+    """Per-second mask of the union of inclusive [lo, hi] rows that lie in
+    [0, n_seconds), from a difference array of run edges."""
+    edges = (np.bincount(intervals[:, 0], minlength=n_seconds + 1)
+             - np.bincount(intervals[:, 1] + 1, minlength=n_seconds + 1))
+    return np.cumsum(edges[:n_seconds]) > 0
+
+
 def score_detections(anomalies: Sequence[AnomalyPoint] | Sequence[AnomalyEvent],
                      faults: Sequence[FaultEvent],
                      lead_window: int = 10,
@@ -186,14 +211,12 @@ def score_detections(anomalies: Sequence[AnomalyPoint] | Sequence[AnomalyEvent],
         if f.start < span_start or f.end > span_end:
             raise DataError(f"fault [{f.start}, {f.end}] outside frame span")
 
-    match_ivs = [_match_interval(f, lead_window, mode) for f in faults]
-    matched_faults = []
-    for fault, (ms, me) in zip(faults, match_ivs):
-        if any(s <= me and e >= ms for s, e in intervals):
-            matched_faults.append(fault)
-    matched_anoms = sum(
-        1 for s, e in intervals if any(s <= me and e >= ms for ms, me in match_ivs)
-    )
+    anomaly_ivs = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+    match_ivs = np.array([_match_interval(f, lead_window, mode) for f in faults],
+                         dtype=np.int64).reshape(-1, 2)
+    fault_hit = _overlaps_any(anomaly_ivs, match_ivs)
+    matched_faults = [f for f, hit in zip(faults, fault_hit) if hit]
+    matched_anoms = int(np.count_nonzero(_overlaps_any(match_ivs, anomaly_ivs)))
 
     tp = len(matched_faults)
     fn = len(faults) - tp
@@ -207,15 +230,9 @@ def score_detections(anomalies: Sequence[AnomalyPoint] | Sequence[AnomalyEvent],
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
 
     n_seconds = span_end - span_start + 1
-    predicted = np.zeros(n_seconds, dtype=bool)
-    for s, e in intervals:
-        predicted[s - span_start:e - span_start + 1] = True
-    truth = np.zeros(n_seconds, dtype=bool)
-    for ms, me in match_ivs:
-        lo = max(ms, span_start)
-        hi = min(me, span_end)
-        if lo <= hi:
-            truth[lo - span_start:hi - span_start + 1] = True
+    predicted = _covered_seconds(anomaly_ivs - span_start, n_seconds)
+    truth = _covered_seconds(np.clip(match_ivs, span_start, span_end) - span_start,
+                             n_seconds)
     accuracy = float(np.mean(predicted == truth))
 
     return EvalReport(

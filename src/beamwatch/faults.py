@@ -93,18 +93,12 @@ def detect_current_drops(current: RawSeries, threshold: float) -> list[FaultEven
     ts = current.timestamps
     if np.any(ts != np.floor(ts)) or (len(ts) > 1 and np.any(np.diff(ts) != 1)):
         raise DataError("current series must be aligned at 1 Hz")
-    below = current.values < threshold
-    events: list[FaultEvent] = []
-    run_start: int | None = None
-    for idx in range(len(ts)):
-        if below[idx] and run_start is None:
-            run_start = int(ts[idx])
-        elif not below[idx] and run_start is not None:
-            events.append(FaultEvent(run_start, int(ts[idx - 1]), SOURCE_CURRENT_DROP))
-            run_start = None
-    if run_start is not None:
-        events.append(FaultEvent(run_start, int(ts[-1]), SOURCE_CURRENT_DROP))
-    return events
+    below = (current.values < threshold).astype(np.int8)
+    edges = np.diff(below, prepend=0, append=0)
+    firsts = np.flatnonzero(edges == 1)
+    lasts = np.flatnonzero(edges == -1) - 1
+    return [FaultEvent(int(ts[a]), int(ts[b]), SOURCE_CURRENT_DROP)
+            for a, b in zip(firsts, lasts)]
 
 
 def merge_event_lists(lists: Sequence[Iterable[FaultEvent]],

@@ -229,3 +229,24 @@ class TestEvalScenario:
         doc = json.loads((out / "eval_report.json").read_text())
         assert doc["recall"] == 0.0
         assert doc["false_positives"] == 1
+
+    @pytest.mark.parametrize("command, name, text, where", [
+        ("eval", "out/anomalies.csv", "timestamp,error\n5,x\n",
+         "line 2: malformed number in '5,x'"),
+        ("eval", "current.csv", "timestamp,value\n0,90.0\n1,9O.0\n", "line 3: malformed number"),
+        ("eval", "faults.csv", "start\n150\nsoon\n", "line 3: malformed timestamp"),
+        ("train", "wiresum.csv", "timestamp,value\n0,1.0\n0,2.0\n", "line 3: timestamp 0.0"),
+    ], ids=["anomalies", "current", "faults", "series"])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, command, name, text, where):
+        box = tmp_path
+        (box / "run.cfg").write_text("")
+        (box / "current.csv").write_text(
+            "timestamp,value\n" + "".join(f"{t},90.0\n" for t in range(200)))
+        (box / "faults.csv").write_text("start\n150\n")
+        (box / "out").mkdir()
+        (box / "out" / "anomalies.csv").write_text("timestamp,error\n145,2.5\n")
+        (box / name).write_text(text)
+        assert main([command, "--config", str(box / "run.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {box / name}: {where}")
+        assert len(err.strip().splitlines()) == 1

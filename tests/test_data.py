@@ -3,9 +3,12 @@ and window construction, including brute-force oracles for the invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamwatch import data
-from beamwatch.errors import ConfigError, DataError, OrderError, ParseError, ShapeError
+from beamwatch.errors import (BeamwatchError, ConfigError, DataError, OrderError,
+                              ParseError, ShapeError)
 from beamwatch.faults import FaultEvent
 
 
@@ -46,6 +49,123 @@ class TestParseSeriesCsv:
         again = data.parse_series_csv(data.format_series_csv(s))
         assert np.array_equal(again.timestamps, s.timestamps)
         assert np.array_equal(again.values, s.values)
+
+
+def parse_outcome(parse, text):
+    """What a series parser makes of `text`: the arrays' dtype and bytes, or
+    the error's type and message."""
+    try:
+        s = parse(text, "ch")
+    except BeamwatchError as exc:
+        return type(exc), str(exc)
+    return s.timestamps.dtype, s.timestamps.tobytes(), s.values.dtype, s.values.tobytes()
+
+
+# Lossless ways to write a double, as files in the wild do.
+NUMBER_FORMATS = [
+    repr,
+    "{:.17g}".format,
+    "{:+.16e}".format,
+    "{:.16E}".format,
+    lambda x: f" {x!r}\t",
+    lambda x: str(int(x)) if x.is_integer() else repr(x),
+]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+stamps = st.one_of(finite, st.integers(-10**6, 10**12).map(float),
+                   st.floats(0, 2e9, allow_nan=False))
+
+
+@st.composite
+def series_texts(draw, plain=False):
+    """A valid series CSV: strictly increasing stamps and finite values over
+    the whole double range. Unless `plain`, line endings are mixed and blank
+    or whitespace-only lines sit between rows."""
+    ts = sorted(draw(st.lists(stamps, unique=True, max_size=25)))
+    eol = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
+    blanks = st.lists(st.sampled_from(["", " ", "\t "]), max_size=0 if plain else 2)
+    fmt = st.sampled_from(NUMBER_FORMATS)
+    parts = [data.SERIES_CSV_HEADER, draw(eol)]
+    for t in ts:
+        for blank in draw(blanks):
+            parts += [blank, draw(eol)]
+        parts += [f"{draw(fmt)(t)},{draw(fmt)(draw(finite))}", draw(eol)]
+    if ts and draw(st.booleans()):
+        parts.pop()
+    return "".join(parts)
+
+
+@st.composite
+def mangled_series_texts(draw):
+    """A series CSV with a few characters of its body inserted or
+    overwritten: mostly number syntax, separators and line breaks, which the
+    one-pass parse may still accept, and sometimes other text."""
+    text = draw(st.one_of(series_texts(plain=True), series_texts()))
+    junk = st.one_of(
+        st.sampled_from("0123456789 \t"),
+        st.text(alphabet="0123456789.,+-eE \t\r\n", min_size=1, max_size=3),
+        st.text(alphabet="_xinfa#\"\x00\x0b\x0c\x1c\x1e\x85\u2028\u0661",
+                min_size=1, max_size=2))
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(len(data.SERIES_CSV_HEADER) + 1, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(junk) + text[at + cut:]
+    return text
+
+
+class TestParseSeriesBulk:
+    """The one-pass parse against the line loop it falls back to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_texts())
+    def test_valid_text_bitwise_equal(self, text):
+        want = parse_outcome(data._parse_series_lines, text)
+        assert want[0] == np.float64, want
+        assert parse_outcome(data.parse_series_csv, text) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(mangled_series_texts())
+    def test_mangled_text_same_outcome(self, text):
+        assert parse_outcome(data.parse_series_csv, text) == \
+            parse_outcome(data._parse_series_lines, text)
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,value\n0,1_000\n1,2\n",
+        "timestamp,value\n0,1\n   \n1,2\n",
+        "timestamp,value\r0,1\r1,2\r",
+        "timestamp,value\n0,1\x0c1,2\n",
+        "timestamp,value\n0,\x0c1\n",
+        "\x0ctimestamp,value\n0,1\n",
+        " timestamp,value \n0,1\n",
+        "timestamp,value\n0,\u0661\n",
+        "timestamp,value\n0,1e400\n",
+        "timestamp,value\n0,nan\n",
+        "timestamp,value\n0,1\n0,2\n",
+        "timestamp,value\n0,1,2\n",
+        "timestamp,value\n0\n1\n",
+        "timestamp,value\n0,1\x002\n",
+        "timestamp,value\n",
+        "timestamp,value",
+        "",
+    ])
+    def test_edge_cases_same_outcome(self, text):
+        assert parse_outcome(data.parse_series_csv, text) == \
+            parse_outcome(data._parse_series_lines, text)
+
+    def test_random_doubles_bitwise_equal(self, rng):
+        bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                            size=20_000, dtype=np.int64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        series = data.RawSeries("ch", np.arange(len(values)) * 0.25, values)
+        text = data.format_series_csv(series)
+        assert parse_outcome(data.parse_series_csv, text) == \
+            parse_outcome(data._parse_series_lines, text)
+
+    def test_plain_text_skips_line_loop(self, monkeypatch):
+        text = "timestamp,value\r\n0,1.5\r\n\r\n2.5,-3e-300\r\n"
+        want = parse_outcome(data.parse_series_csv, text)
+        monkeypatch.setattr(data, "_parse_series_lines", None)
+        assert parse_outcome(data.parse_series_csv, text) == want
 
 
 class TestAlignAndFill:

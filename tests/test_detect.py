@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamwatch import detect
 from beamwatch.detect import AnomalyEvent, AnomalyPoint
@@ -237,6 +239,34 @@ class TestScoreDetections:
             assert (report.true_positives, report.false_positives,
                     report.false_negatives, report.matched_anomalies) == (tp, fp, fn, matched)
             assert report.accuracy == pytest.approx(acc, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), span_len=st.integers(1, 300), lead=st.integers(0, 40),
+           mode=st.sampled_from(detect.SCORING_MODES), merge_gap=st.none() | st.integers(0, 6))
+    def test_matches_exhaustive_matcher_property(self, data, span_len, lead, mode, merge_gap):
+        span = (1000, 1000 + span_len - 1)
+        second = st.integers(*span)
+        faults = []
+        for start in data.draw(st.lists(second, max_size=12)):
+            end = data.draw(st.integers(start, min(span[1], start + 30)))
+            faults.append(FaultEvent(start, end))
+        faults.sort()
+        stamps = sorted(data.draw(st.sets(second, max_size=60)))
+        anomalies = [AnomalyPoint(t, 1.0) for t in stamps]
+        if merge_gap is not None:
+            anomalies = detect.merge_consecutive_anomalies(anomalies, merge_gap)
+        report = detect.score_detections(anomalies, faults, lead, mode, span)
+        tp, fp, fn, matched, acc = bruteforce_score(anomalies, faults, lead, mode, span)
+        assert (report.true_positives, report.false_positives,
+                report.false_negatives, report.matched_anomalies) == (tp, fp, fn, matched)
+        assert report.accuracy == acc
+        if merge_gap is None:
+            covered = set(stamps)
+        else:
+            covered = {t for e in anomalies for t in range(e.start, e.end + 1)}
+        last = (lambda f: f.start) if mode == "lead_only" else (lambda f: f.end)
+        assert report.matched_faults == tuple(
+            f for f in faults if covered & set(range(f.start - lead, last(f) + 1)))
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -3,6 +3,8 @@ event-list merging."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beamwatch import faults
 from beamwatch.data import RawSeries
@@ -103,6 +105,20 @@ class TestDetectCurrentDrops:
             # disjoint and maximal: consecutive events separated by > 1 s
             for a, b in zip(events, events[1:]):
                 assert b.start > a.end + 1
+
+    @given(values=st.lists(st.sampled_from([0.0, 9.999, 10.0, 10.001, 90.0]), min_size=1,
+                           max_size=80),
+           start=st.integers(-10**6, 10**9))
+    def test_matches_per_second_oracle_property(self, values, start):
+        events = faults.detect_current_drops(current_series(values, start=start), 10.0)
+        below = [start + i for i, v in enumerate(values) if v < 10.0]
+        runs = []
+        for t in below:
+            if runs and runs[-1][1] == t - 1:
+                runs[-1][1] = t
+            else:
+                runs.append([t, t])
+        assert events == [FaultEvent(a, b, "current_drop") for a, b in runs]
 
 
 class TestMergeEventLists:
