@@ -5,11 +5,13 @@ A window of k seconds and m channels is compressed into the encoder's final
 hidden state and reconstructed back to a k x m matrix; training minimizes
 the mean absolute reconstruction error with Adam.
 
-Training and inference run the same time-major batched forward from `nn`.
-Training keeps the per-step caches for BPTT; inference (`forward`,
-`reconstruction_errors`) keeps none and works in zero-padded chunks of
-`INFERENCE_CHUNK` windows, so every matrix product has one shape and a
-window's result is bitwise the same whatever batch, chunk or row it is in.
+Training and inference run the same batched forward from `nn`. Its edges
+are time-major ([k, n, m] windows in, reconstructions out); inside, every
+array is feature-major, one column per window. Training keeps the per-step
+caches for BPTT; inference (`forward`, `reconstruction_errors`) keeps none
+and works in zero-padded chunks of `INFERENCE_CHUNK` windows, so every
+matrix product has one shape and a window's result is bitwise the same
+whatever batch, chunk or column it is in.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def _check_batch(config: AutoencoderConfig, batch: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forward (time-major internals, shared by training and inference)
+# Forward (feature-major internals, shared by training and inference)
 
 
 def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
@@ -173,18 +175,23 @@ def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
     """Batched forward on a time-major [k, n, m] batch; dropout masks are
     latent_mask [n, h] and dec_mask [k, n, h] (None = off). Returns the
     time-major reconstruction and the intermediates _backward_batch needs,
-    or None for them when keep_cache is false."""
+    or None for them when keep_cache is false.
+
+    Inside, every array is feature-major (one column per window: [h, n],
+    [k, h, n], [k, m, n]); the masks apply through transposed views and the
+    reconstruction returned is a transposed view of the [k, m, n] result.
+    """
     k = model.config.window_k
-    enc_seq, enc_cache = nn.lstm_forward_batch(batch_tm, model.encoder_lstm, keep_cache)
+    x_fm = np.ascontiguousarray(np.swapaxes(batch_tm, 1, 2))
+    enc_seq, enc_cache = nn.lstm_forward_batch(x_fm, model.encoder_lstm, keep_cache)
     latent = enc_seq[-1]
-    latent_d = latent if latent_mask is None else latent * latent_mask
+    latent_d = latent if latent_mask is None else latent * latent_mask.T
     dec_seq, dec_cache = nn.lstm_forward_repeat(latent_d, k, model.decoder_lstm, keep_cache)
-    dec_d = dec_seq if dec_mask is None else dec_seq * dec_mask
-    n = batch_tm.shape[1]
-    hd = model.config.hidden_dim
-    flat = dec_d.reshape(k * n, hd)
-    recon_tm = (flat @ model.output_dense.weight.T + model.output_dense.bias) \
-        .reshape(k, n, model.config.feature_m)
+    dec_d = dec_seq if dec_mask is None else dec_seq * np.swapaxes(dec_mask, 1, 2)
+    dense = model.output_dense
+    recon_fm = dense.weight @ dec_d
+    recon_fm += dense.bias[:, None]
+    recon_tm = np.swapaxes(recon_fm, 1, 2)
     if not keep_cache:
         return recon_tm, None
     cache = {
@@ -205,6 +212,29 @@ def _padded_chunk(a: np.ndarray | None, lo: int) -> np.ndarray | None:
     return np.pad(part, width)
 
 
+def _chunked_forward(model: ModelArtifact, batch: np.ndarray, mode: str,
+                     rng: np.random.Generator | None):
+    """Yield (lo, padded time-major input chunk, its reconstruction) for the
+    zero-padded chunks of INFERENCE_CHUNK windows of a [n, k, m] batch."""
+    n = batch.shape[0]
+    rate = model.config.dropout_rate
+    if mode == "train" and rate > 0.0:
+        if rng is None:
+            raise ConfigError("train-mode forward requires a seeded rng")
+        k, hd = model.config.window_k, model.config.hidden_dim
+        latent_masks = nn.dropout_mask((n, hd), rate, rng)
+        dec_masks_tm = np.swapaxes(nn.dropout_mask((n, k, hd), rate, rng), 0, 1)
+    else:
+        latent_masks = dec_masks_tm = None
+    batch_tm = np.swapaxes(batch, 0, 1)
+    for lo in range(0, n, INFERENCE_CHUNK):
+        chunk_tm = _padded_chunk(batch_tm, lo)
+        recon_tm, _ = _forward_batch_cached(
+            model, chunk_tm, _padded_chunk(latent_masks, lo),
+            _padded_chunk(dec_masks_tm, lo), keep_cache=False)
+        yield lo, chunk_tm, recon_tm
+
+
 def forward(model: ModelArtifact, batch: np.ndarray, mode: str = "eval",
             rng: np.random.Generator | None = None) -> np.ndarray:
     """Reconstruct a [n, k, m] batch of windows.
@@ -217,31 +247,26 @@ def forward(model: ModelArtifact, batch: np.ndarray, mode: str = "eval",
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     batch = _check_batch(model.config, batch)
-    n = batch.shape[0]
-    rate = model.config.dropout_rate
-    if mode == "train" and rate > 0.0:
-        if rng is None:
-            raise ConfigError("train-mode forward requires a seeded rng")
-        k, hd = model.config.window_k, model.config.hidden_dim
-        latent_masks = nn.dropout_mask((n, hd), rate, rng)
-        dec_masks_tm = np.swapaxes(nn.dropout_mask((n, k, hd), rate, rng), 0, 1)
-    else:
-        latent_masks = dec_masks_tm = None
-    batch_tm = np.swapaxes(batch, 0, 1)
     recon = np.empty_like(batch)
-    for lo in range(0, n, INFERENCE_CHUNK):
-        recon_tm, _ = _forward_batch_cached(
-            model, _padded_chunk(batch_tm, lo), _padded_chunk(latent_masks, lo),
-            _padded_chunk(dec_masks_tm, lo), keep_cache=False)
-        recon[lo:lo + INFERENCE_CHUNK] = np.swapaxes(recon_tm[:, :n - lo], 0, 1)
+    for lo, _, recon_tm in _chunked_forward(model, batch, mode, rng):
+        recon[lo:lo + INFERENCE_CHUNK] = np.swapaxes(recon_tm[:, :len(batch) - lo], 0, 1)
     return recon
 
 
 def reconstruction_errors(model: ModelArtifact, windows: np.ndarray) -> np.ndarray:
-    """Per-window mean absolute reconstruction error, eval mode."""
+    """Per-window mean absolute reconstruction error, eval mode.
+
+    Each chunk's errors are reduced over the whole padded chunk and sliced
+    afterwards: a reduction over a slice can take a different summation
+    order for different slice widths, and then a window's error would
+    depend on how many windows share its chunk.
+    """
     windows = _check_batch(model.config, windows)
-    recon = forward(model, windows, mode="eval")
-    return np.mean(np.abs(recon - windows), axis=(1, 2))
+    errors = np.empty(len(windows))
+    for lo, chunk_tm, recon_tm in _chunked_forward(model, windows, "eval", None):
+        chunk_errors = np.mean(np.abs(recon_tm - chunk_tm), axis=(0, 2))
+        errors[lo:lo + INFERENCE_CHUNK] = chunk_errors[:len(windows) - lo]
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +274,17 @@ def reconstruction_errors(model: ModelArtifact, windows: np.ndarray) -> np.ndarr
 
 
 def _backward_batch(model: ModelArtifact, d_recon_tm: np.ndarray, cache) -> dict[str, np.ndarray]:
-    k, n, m = d_recon_tm.shape
-    hd = model.config.hidden_dim
-    flat_d = d_recon_tm.reshape(k * n, m)
-    flat_dec = cache["dec_d"].reshape(k * n, hd)
-    g_dense_w = flat_d.T @ flat_dec
-    g_dense_b = flat_d.sum(axis=0)
-    d_dec_d = (flat_d @ model.output_dense.weight).reshape(k, n, hd)
-    d_dec_seq = d_dec_d if cache["dec_mask"] is None else d_dec_d * cache["dec_mask"]
-    d_latent_d, dec_grads = nn.lstm_backward_repeat(cache["dec_cache"],
-                                                    model.decoder_lstm, d_dec_seq)
-    d_latent = d_latent_d if cache["latent_mask"] is None \
-        else d_latent_d * cache["latent_mask"]
+    d_fm = np.ascontiguousarray(np.swapaxes(d_recon_tm, 1, 2))
+    dec_d = cache["dec_d"]
+    g_dense_w = (d_fm @ np.swapaxes(dec_d, 1, 2)).sum(axis=0)
+    g_dense_b = d_fm.sum(axis=(0, 2))
+    d_dec_seq = model.output_dense.weight.T @ d_fm
+    if cache["dec_mask"] is not None:
+        d_dec_seq *= np.swapaxes(cache["dec_mask"], 1, 2)
+    d_latent, dec_grads = nn.lstm_backward_repeat(cache["dec_cache"],
+                                                  model.decoder_lstm, d_dec_seq)
+    if cache["latent_mask"] is not None:
+        d_latent *= cache["latent_mask"].T
     _, enc_grads = nn.lstm_backward_batch(cache["enc_cache"], model.encoder_lstm,
                                           d_h_last=d_latent, need_input_grads=False)
     return {

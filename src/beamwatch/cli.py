@@ -136,7 +136,7 @@ def _train_report_text(report: dict) -> str:
 
 def cmd_detect(cfg: RunConfig) -> None:
     """Apply a trained model to the untouched test split and flag anomalies."""
-    model = ae.load_model(cfg.model_file)
+    model = _parse_file(cfg.model_file, ae.model_from_json)
     if model.channel_stats is None or model.threshold is None:
         raise ConfigError(f"model {cfg.model_file} is not calibrated "
                           "(missing channel stats or threshold)")

@@ -7,14 +7,15 @@ collections handed to the optimizer and the gradient oracle are flat dicts
 mapping tensor names to arrays; gradient sets mirror those dicts shape for
 shape.
 
-The time-major `*_batch` / `*_repeat` ops stack many sequences into one
-matrix product per timestep and are the only path the model runs on, for
-training and inference alike; both forward ops share one step loop, which
-keeps the per-step gate caches only when BPTT will need them. The
-single-sequence ops (`lstm_cell_forward`, `lstm_cell_backward`,
-`lstm_sequence_forward`, `dense_forward`) are the serial reference that the
-tests check the batched ops against; they agree up to floating-point
-reassociation.
+The feature-major `*_batch` / `*_repeat` ops stack many sequences into one
+matrix product per timestep, one column per sequence, and are the only path
+the model runs on, for training and inference alike; both forward ops share
+one step loop, which keeps the per-step caches (gate activations, cell state
+and its tanh) only when BPTT will need them, and both backward ops share one
+BPTT loop. The single-sequence ops (`lstm_cell_forward`,
+`lstm_cell_backward`, `lstm_sequence_forward`, `dense_forward`) are the
+serial reference that the tests check the batched ops against; they agree
+up to floating-point reassociation.
 """
 
 from __future__ import annotations
@@ -379,74 +380,95 @@ def finite_diff_grad(
 
 
 # ---------------------------------------------------------------------------
-# Batched LSTM (time-major; training and inference)
+# Batched LSTM (feature-major; training and inference)
 #
-# The batch variants take [k, n, ...] time-major arrays so each step works on
-# contiguous [n, ...] blocks, project all inputs through the input kernel in
-# one matrix product, and defer the weight-gradient products to single large
-# GEMMs after the step loop. They agree with the serial ops up to
-# floating-point reassociation. Rows never mix: a row's result depends only on
-# that row's input and on the batch shape.
-
-_STEP_CACHE_KEYS = ("i", "f", "g", "o", "c")
-
-
-def _lstm_gates(z: np.ndarray, hd: int):
-    sif = sigmoid(z[:, : 2 * hd])
-    g = np.tanh(z[:, 2 * hd:3 * hd])
-    o = sigmoid(z[:, 3 * hd:])
-    return sif[:, :hd], sif[:, hd:], g, o
+# The batch ops take feature-major arrays: one column per sequence, so a step
+# works on [features, n] blocks and a sequence batch is [k, features, n]. Each
+# step computes the [4*hidden, n] pre-activation z = W_h @ h + W_in @ x + b,
+# whose i|f|g|o gate blocks are contiguous row ranges, and applies the gate
+# activations to it in place. The forward pass keeps, per step, the
+# activations, the cell state and tanh of it; BPTT reuses one [4*hidden, n]
+# buffer for the pre-activation gradient and accumulates the weight gradients
+# step by step. Results agree with the serial ops up to floating-point
+# reassociation. Columns never mix: a column's result depends only on that
+# column's input and on the batch shape.
 
 
-def _lstm_steps(xp: np.ndarray, k: int, params: LstmLayerParams,
+def _gate_blocks(a: np.ndarray, hd: int):
+    return a[:hd], a[hd:2 * hd], a[2 * hd:3 * hd], a[3 * hd:]
+
+
+def _sigmoid_in_place(x: np.ndarray) -> None:
+    # the same operations as sigmoid(); the caller suppresses exp overflow
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+
+
+def _lstm_steps(params: LstmLayerParams, k: int, n: int, add_input,
                 cache: dict | None) -> np.ndarray:
     """Forward step loop shared by lstm_forward_batch and lstm_forward_repeat.
 
-    xp is the input projection plus bias: per step [k, n, 4*hidden], or one
-    [n, 4*hidden] block that every step reuses. Returns the [k, n, hidden]
-    hidden states. Only when `cache` is given does it keep what BPTT needs
-    (per-step gates and cell states, the hidden stack, n and k) in it.
+    add_input(z, t) adds step t's input projection plus bias into the
+    [4*hidden, n] pre-activation z. Returns the [k, hidden, n] hidden
+    states. Only when `cache` is given does it keep what BPTT needs in it:
+    per step the activations [4*hidden, n], the cell state and its tanh.
     """
-    n, hd = xp.shape[-2], params.hidden_dim
-    wh_t = params.recurrent_kernel.T
-    h = np.zeros((n, hd))
-    c = np.zeros((n, hd))
-    h_seq = np.empty((k, n, hd))
+    hd = params.hidden_dim
+    w_h = params.recurrent_kernel
+    h_seq = np.empty((k, hd, n))
+    c = np.zeros((hd, n))
+    ig = np.empty((hd, n))
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if cache is not None:
-        cache.update({q: [] for q in _STEP_CACHE_KEYS}, h_seq=h_seq, n=n, k=k)
-    for t in range(k):
-        z = (xp[t] if xp.ndim == 3 else xp) + h @ wh_t
-        i, f, g, o = _lstm_gates(z, hd)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        if cache is not None:
-            for q, value in zip(_STEP_CACHE_KEYS, (i, f, g, o, c)):
-                cache[q].append(value)
-        h_seq[t] = h
+        cache.update(steps=steps, h_seq=h_seq)
+    with np.errstate(over="ignore"):
+        for t in range(k):
+            z = w_h @ h_seq[t - 1] if t else np.zeros((4 * hd, n))
+            add_input(z, t)
+            i, f, g, o = _gate_blocks(z, hd)
+            _sigmoid_in_place(z[:2 * hd])
+            np.tanh(g, out=g)
+            _sigmoid_in_place(o)
+            c = f * c
+            np.multiply(i, g, out=ig)
+            c += ig
+            tanh_c = np.tanh(c)
+            np.multiply(o, tanh_c, out=h_seq[t])
+            if cache is not None:
+                steps.append((z, c, tanh_c))
     return h_seq
 
 
 def lstm_forward_batch(
-    seqs_tm: np.ndarray,
+    seqs: np.ndarray,
     params: LstmLayerParams,
     keep_cache: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the LSTM over a time-major [k, n, input_dim] batch.
+    """Run the LSTM over a feature-major [k, input_dim, n] batch.
 
-    Initial states are zero. Returns the [k, n, hidden_dim] hidden-state
+    Initial states are zero. Returns the [k, hidden_dim, n] hidden-state
     stack and the cache consumed by lstm_backward_batch (None when
     keep_cache is false, as in inference).
     """
-    seqs_tm = _as_f64(seqs_tm)
-    if seqs_tm.ndim != 3 or seqs_tm.shape[2] != params.input_dim:
-        raise ShapeError(f"batch must be [k, n, {params.input_dim}], got {seqs_tm.shape}")
-    k, n, _ = seqs_tm.shape
+    seqs = _as_f64(seqs)
+    if seqs.ndim != 3 or seqs.shape[1] != params.input_dim:
+        raise ShapeError(f"batch must be [k, {params.input_dim}, n], got {seqs.shape}")
+    k, d, n = seqs.shape
     if k < 1:
         raise ShapeError("empty sequence")
-    x_flat = seqs_tm.reshape(k * n, params.input_dim)
-    xp = (x_flat @ params.input_kernel.T + params.bias).reshape(k, n, 4 * params.hidden_dim)
-    cache = {"x_flat": x_flat} if keep_cache else None
-    return _lstm_steps(xp, k, params, cache), cache
+    # a row of ones under each step's input folds the bias into the input
+    # projection: [W_in | b] @ [x_t; 1], one product and no broadcast add
+    x1 = np.ones((k, d + 1, n))
+    x1[:, :d] = seqs
+    w_in1 = np.hstack([params.input_kernel, params.bias[:, None]])
+
+    def add_input(z, t):
+        z += w_in1 @ x1[t]
+
+    cache = {"x1": x1} if keep_cache else None
+    return _lstm_steps(params, k, n, add_input, cache), cache
 
 
 def lstm_forward_repeat(
@@ -455,19 +477,23 @@ def lstm_forward_repeat(
     params: LstmLayerParams,
     keep_cache: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """LSTM over k steps that all receive the same [n, input_dim] input.
+    """LSTM over k steps that all receive the same [input_dim, n] input.
 
     This is the decoder's RepeatVector pattern: the input projection is
     computed once instead of per step. The cache is None unless keep_cache.
     """
     x = _as_f64(x)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(f"input must be [n, {params.input_dim}], got {x.shape}")
+    if x.ndim != 2 or x.shape[0] != params.input_dim:
+        raise ShapeError(f"input must be [{params.input_dim}, n], got {x.shape}")
     if k < 1:
         raise ShapeError("empty sequence")
-    xp = x @ params.input_kernel.T + params.bias
+    xp = params.input_kernel @ x + params.bias[:, None]
+
+    def add_input(z, t):
+        z += xp
+
     cache = {"x": x} if keep_cache else None
-    return _lstm_steps(xp, k, params, cache), cache
+    return _lstm_steps(params, k, x.shape[1], add_input, cache), cache
 
 
 def _lstm_bptt(
@@ -475,33 +501,57 @@ def _lstm_bptt(
     params: LstmLayerParams,
     d_h_seq: np.ndarray | None,
     d_h_last: np.ndarray | None,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    input_grad,
+) -> np.ndarray:
     """BPTT step loop shared by lstm_backward_batch and lstm_backward_repeat.
 
-    Runs from the last step to the first and returns the pre-activation
-    gradients dz [k, n, 4*hidden] with the recurrent-kernel and bias
-    gradients; the input-kernel gradient depends on how inputs were fed.
+    Runs from the last step to the first and returns the recurrent-kernel
+    gradient. input_grad(t, dz) sees each step's [4*hidden, n]
+    pre-activation gradient, a buffer that the next step overwrites; the
+    input-kernel and bias gradients depend on how inputs were fed, so the
+    caller accumulates them there.
     """
-    n, k, hd = cache["n"], cache["k"], params.hidden_dim
-    dz = np.empty((k, n, 4 * hd))
-    dh_carry = np.zeros((n, hd)) if d_h_last is None else _as_f64(d_h_last).copy()
-    dc_carry = np.zeros((n, hd))
+    steps, h_seq = cache["steps"], cache["h_seq"]
+    k, hd, n = h_seq.shape
+    w_h_t = np.ascontiguousarray(params.recurrent_kernel.T)
+    dz = np.empty((4 * hd, n))
+    dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz, hd)
+    dz_ifg = dz[:3 * hd].reshape(3, hd, n)
+    d_rec = np.zeros((4 * hd, hd))
+    dh = np.zeros((hd, n)) if d_h_last is None else np.array(d_h_last, dtype=np.float64)
+    dc = np.zeros((hd, n))
+    tmp = np.empty((hd, n))
     for t in range(k - 1, -1, -1):
-        dh = dh_carry if d_h_seq is None else dh_carry + d_h_seq[t]
-        i, f, g, o, c = (cache[q][t] for q in _STEP_CACHE_KEYS)
-        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((n, hd))
-        tanh_c = np.tanh(c)
-        dz_t = dz[t]
-        dz_t[:, 3 * hd:] = dh * tanh_c * o * (1.0 - o)
-        dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
-        dz_t[:, :hd] = dc * g * i * (1.0 - i)
-        dz_t[:, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
-        dz_t[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
-        dh_carry = dz_t @ params.recurrent_kernel
-        dc_carry = dc * f
-    dz_flat = dz.reshape(k * n, 4 * hd)
-    h_prev_flat = np.vstack([np.zeros((n, hd)), cache["h_seq"][:-1].reshape((k - 1) * n, hd)])
-    return dz, {"recurrent_kernel": dz_flat.T @ h_prev_flat, "bias": dz_flat.sum(axis=0)}
+        act, c, tanh_c = steps[t]
+        i, f, g, o = _gate_blocks(act, hd)
+        if d_h_seq is not None:
+            dh += d_h_seq[t]
+        # gate-derivative factor: a*(1-a) on every row, then 1-g^2 on g's
+        np.subtract(1.0, act, out=dz)
+        dz *= act
+        np.multiply(g, g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        # dc += dh * o * (1 - tanh(c)^2)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh
+        dc += tmp
+        dz_o *= dh
+        dz_o *= tanh_c
+        dz_ifg *= dc
+        dz_i *= g
+        if t:
+            dz_f *= steps[t - 1][1]
+        else:
+            dz_f.fill(0.0)
+        dz_g *= i
+        dc *= f
+        input_grad(t, dz)
+        if t:
+            d_rec += dz @ h_seq[t - 1].T
+            np.matmul(w_h_t, dz, out=dh)
+    return d_rec
 
 
 def lstm_backward_batch(
@@ -513,17 +563,24 @@ def lstm_backward_batch(
 ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """BPTT over a batch previously run through lstm_forward_batch.
 
-    d_h_seq [k, n, hidden] carries gradients into every step's hidden output;
-    d_h_last [n, hidden] carries an extra gradient into the final step only.
-    Returns (d_inputs [k, n, input_dim] or None, grads dict).
+    d_h_seq [k, hidden, n] carries gradients into every step's hidden output;
+    d_h_last [hidden, n] carries an extra gradient into the final step only.
+    Returns (d_inputs [k, input_dim, n] or None, grads dict).
     """
-    dz, grads = _lstm_bptt(cache, params, d_h_seq, d_h_last)
-    k, n = cache["k"], cache["n"]
-    dz_flat = dz.reshape(k * n, 4 * params.hidden_dim)
-    grads["input_kernel"] = dz_flat.T @ cache["x_flat"]
-    d_x = (dz_flat @ params.input_kernel).reshape(k, n, params.input_dim) \
-        if need_input_grads else None
-    return d_x, grads
+    x1 = cache["x1"]
+    k, d1, n = x1.shape
+    w_in_t = np.ascontiguousarray(params.input_kernel.T)
+    d_in1 = np.zeros((4 * params.hidden_dim, d1))
+    d_x = np.empty((k, d1 - 1, n)) if need_input_grads else None
+
+    def input_grad(t, dz):
+        d_in1[...] += dz @ x1[t].T   # [d_input_kernel | d_bias] of step t
+        if d_x is not None:
+            np.matmul(w_in_t, dz, out=d_x[t])
+
+    d_rec = _lstm_bptt(cache, params, d_h_seq, d_h_last, input_grad)
+    return d_x, {"input_kernel": np.ascontiguousarray(d_in1[:, :-1]),
+                 "recurrent_kernel": d_rec, "bias": d_in1[:, -1].copy()}
 
 
 def lstm_backward_repeat(
@@ -533,10 +590,16 @@ def lstm_backward_repeat(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """BPTT counterpart of lstm_forward_repeat.
 
-    Returns (d_input [n, input_dim], grads); the per-step input gradients
+    Returns (d_input [input_dim, n], grads); the per-step input gradients
     collapse into one sum because every step saw the same input.
     """
-    dz, grads = _lstm_bptt(cache, params, d_h_seq, None)
-    dz_sum = dz.sum(axis=0)
-    grads["input_kernel"] = dz_sum.T @ cache["x"]
-    return dz_sum @ params.input_kernel, grads
+    hd, n = params.hidden_dim, cache["x"].shape[1]
+    dz_sum = np.zeros((4 * hd, n))
+
+    def input_grad(t, dz):
+        dz_sum[...] += dz
+
+    d_rec = _lstm_bptt(cache, params, d_h_seq, None, input_grad)
+    grads = {"input_kernel": dz_sum @ cache["x"].T, "recurrent_kernel": d_rec,
+             "bias": dz_sum.sum(axis=1)}
+    return params.input_kernel.T @ dz_sum, grads

@@ -300,6 +300,30 @@ class TestFullModelGradients:
                 assert rel_err(grads[name], fd[name]) < 1e-5, name
 
 
+    def test_bptt_with_dropout_masks_matches_finite_differences(self, rng):
+        # the masks enter the feature-major path through transposed views;
+        # n != h so that a mask applied along the wrong axis cannot fit
+        k, m, hd, n = 4, 2, 3, 5
+        model = random_model(rng, k, m, hd, dropout_rate=0.3)
+        latent_mask = nn.dropout_mask((n, hd), 0.3, rng)
+        dec_mask = nn.dropout_mask((k, n, hd), 0.3, rng)
+        while True:
+            x = rng.standard_normal((n, k, m))
+            x_tm = np.ascontiguousarray(np.swapaxes(x, 0, 1))
+            recon_tm, _ = ae._forward_batch_cached(model, x_tm, latent_mask, dec_mask)
+            if np.min(np.abs(recon_tm - x_tm)) >= 1e-4:
+                break
+        _, grads = ae.batch_loss_and_grads(model, x, latent_mask, dec_mask)
+
+        def loss_fn(tensors):
+            recon, _ = ae._forward_batch_cached(model.with_parameters(tensors), x_tm,
+                                                latent_mask, dec_mask)
+            return nn.mae_loss(recon, x_tm)[0]
+
+        fd = nn.finite_diff_grad(loss_fn, model.parameters(), h=1e-6)
+        for name in grads:
+            assert rel_err(grads[name], fd[name]) < 1e-5, name
+
 class TestSerialization:
     def _calibrated_model(self):
         model = ae.init_model(TINY)

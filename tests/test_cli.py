@@ -250,3 +250,14 @@ class TestEvalScenario:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {box / name}: {where}")
         assert len(err.strip().splitlines()) == 1
+
+    def test_truncated_model_names_the_file(self, tmp_path, capsys):
+        # detect reads the model before anything else
+        (tmp_path / "run.cfg").write_text("")
+        text = ae.model_to_json(ae.init_model(ae.AutoencoderConfig(hidden_dim=2)))
+        model = tmp_path / "model.json"
+        model.write_text(text[:len(text) // 2])
+        assert main(["detect", "--config", str(tmp_path / "run.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: malformed model document")
+        assert len(err.strip().splitlines()) == 1

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamwatch import nn
 from beamwatch.errors import ConfigError, NumericError, ShapeError
@@ -303,7 +305,8 @@ class TestFiniteDiff:
 
 class TestBatchLstmForward:
     """The batched forward ops against the iterated serial cell; dropping the
-    BPTT cache changes no bit of the output."""
+    BPTT cache changes no bit of the output. The batched ops are
+    feature-major: one column per sequence."""
 
     @pytest.mark.parametrize("repeat_input", [False, True], ids=["batch", "repeat"])
     def test_matches_serial_cell_with_or_without_cache(self, rng, repeat_input):
@@ -312,16 +315,17 @@ class TestBatchLstmForward:
         if repeat_input:
             x = rng.standard_normal((n, d))
             seqs = np.broadcast_to(x, (k, n, d))
-            h_seq, cache = nn.lstm_forward_repeat(x, k, params)
-            bare, no_cache = nn.lstm_forward_repeat(x, k, params, keep_cache=False)
+            h_seq, cache = nn.lstm_forward_repeat(x.T, k, params)
+            bare, no_cache = nn.lstm_forward_repeat(x.T, k, params, keep_cache=False)
         else:
             seqs = rng.standard_normal((k, n, d))
-            h_seq, cache = nn.lstm_forward_batch(seqs, params)
-            bare, no_cache = nn.lstm_forward_batch(seqs, params, keep_cache=False)
+            seqs_fm = seqs.transpose(0, 2, 1)
+            h_seq, cache = nn.lstm_forward_batch(seqs_fm, params)
+            bare, no_cache = nn.lstm_forward_batch(seqs_fm, params, keep_cache=False)
         for row in range(n):
             want = nn.lstm_sequence_forward(seqs[:, row], params, return_sequences=True)
-            assert np.max(np.abs(h_seq[:, row] - want)) < 1e-12
-        assert len(cache["c"]) == k and cache["h_seq"] is h_seq
+            assert np.max(np.abs(h_seq[:, :, row] - want)) < 1e-12
+        assert len(cache["steps"]) == k and cache["h_seq"] is h_seq
         assert no_cache is None
         assert np.array_equal(bare, h_seq)
 
@@ -339,12 +343,12 @@ class TestBatchLstmGradients:
 
         while True:
             if repeat_input:
-                x = rng.standard_normal((n, d))
+                x = rng.standard_normal((n, d)).T
                 h_seq, cache = nn.lstm_forward_repeat(x, k, params)
             else:
-                x = rng.standard_normal((k, n, d))
+                x = rng.standard_normal((k, n, d)).transpose(0, 2, 1)
                 h_seq, cache = nn.lstm_forward_batch(x, params)
-            target = rng.standard_normal((k, n, hd))
+            target = rng.standard_normal((k, n, hd)).transpose(0, 2, 1)
             if np.min(np.abs(h_seq - target)) >= 1e-4:
                 break
 
@@ -377,8 +381,8 @@ class TestBatchLstmGradients:
         # d_inputs from the batched backward, against finite differences on x
         k, n, d, hd = 3, 2, 2, 3
         params = random_lstm_params(rng, d, hd)
-        x = rng.standard_normal((k, n, d))
-        target = rng.standard_normal((k, n, hd))
+        x = rng.standard_normal((k, n, d)).transpose(0, 2, 1)
+        target = rng.standard_normal((k, n, hd)).transpose(0, 2, 1)
         h_seq, cache = nn.lstm_forward_batch(x, params)
         assert np.min(np.abs(h_seq - target)) >= 1e-4
         _, d_h_seq = nn.mae_loss(h_seq, target)
@@ -390,3 +394,84 @@ class TestBatchLstmGradients:
 
         fd = nn.finite_diff_grad(loss_of_x, {"x": x}, h=1e-6)
         assert rel_err(d_x, fd["x"]) < 1e-5
+
+
+def serial_bptt(seqs, params, d_h_seq, d_h_last):
+    """Reference BPTT one sequence at a time through the serial cell ops.
+
+    seqs [k, n, d] and d_h_seq [k, n, hidden], time-major; d_h_last
+    [n, hidden] adds to the final step. Returns the hidden states
+    [k, n, hidden], the input gradients [k, n, d] and the weight gradients.
+    """
+    k, n, _ = seqs.shape
+    hd = params.hidden_dim
+    h_seq = np.empty((k, n, hd))
+    d_x = np.empty(seqs.shape)
+    grads = {name: 0.0 for name in ("input_kernel", "recurrent_kernel", "bias")}
+    for col in range(n):
+        h = c = np.zeros(hd)
+        caches = []
+        for t in range(k):
+            h, c, cache = nn.lstm_cell_forward(seqs[t, col], h, c, params)
+            h_seq[t, col] = h
+            caches.append(cache)
+        dh_carry = d_h_last[col].copy()
+        dc_carry = np.zeros(hd)
+        for t in range(k - 1, -1, -1):
+            d_x[t, col], dh_carry, dc_carry, g = nn.lstm_cell_backward(
+                dh_carry + d_h_seq[t, col], dc_carry, caches[t], params)
+            for name in grads:
+                grads[name] = grads[name] + g[name]
+    return h_seq, d_x, grads
+
+
+@settings(max_examples=40, deadline=None)
+@example(k=1, n=1, d=1, hd=1, repeat_input=False, seed=0)
+@example(k=1, n=1, d=1, hd=1, repeat_input=True, seed=0)
+@given(k=st.integers(1, 5), n=st.integers(1, 4), d=st.integers(1, 3), hd=st.integers(1, 4),
+       repeat_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_feature_major_ops_match_cell_ops_and_finite_differences(k, n, d, hd, repeat_input,
+                                                                 seed):
+    """Forward and BPTT of the feature-major batch ops against the serial cell
+    ops (within 1e-12) and against finite differences of a linear loss
+    sum(w * h_seq) + sum(w_last * h_last), which has no kink."""
+    rng = np.random.default_rng(seed)
+    params = random_lstm_params(rng, d, hd)
+    w = rng.standard_normal((k, n, hd))
+    w_last = rng.standard_normal((n, hd)) if not repeat_input else np.zeros((n, hd))
+    if repeat_input:
+        x_rows = rng.standard_normal((n, d))
+        seqs = np.broadcast_to(x_rows, (k, n, d))
+        x = x_rows.T
+    else:
+        seqs = rng.standard_normal((k, n, d))
+        x = seqs.transpose(0, 2, 1)
+
+    def run(p, keep_cache=True):
+        if repeat_input:
+            return nn.lstm_forward_repeat(x, k, p, keep_cache)
+        return nn.lstm_forward_batch(x, p, keep_cache)
+
+    h_seq, cache = run(params)
+    bare, _ = run(params, keep_cache=False)
+    assert np.array_equal(bare, h_seq)
+    if repeat_input:
+        d_x, grads = nn.lstm_backward_repeat(cache, params, w.transpose(0, 2, 1))
+    else:
+        d_x, grads = nn.lstm_backward_batch(cache, params, d_h_seq=w.transpose(0, 2, 1),
+                                            d_h_last=w_last.T)
+
+    want_h, want_dx, want_grads = serial_bptt(seqs, params, w, w_last)
+    assert np.max(np.abs(h_seq - want_h.transpose(0, 2, 1))) < 1e-12
+    want_dx = want_dx.sum(axis=0).T if repeat_input else want_dx.transpose(0, 2, 1)
+    for got, want in [(d_x, want_dx)] + [(grads[q], want_grads[q]) for q in want_grads]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def loss_fn(tensors):
+        out, _ = run(params.with_tensors("p", tensors), keep_cache=False)
+        return float(np.sum(w.transpose(0, 2, 1) * out) + np.sum(w_last.T * out[-1]))
+
+    fd = nn.finite_diff_grad(loss_fn, params.tensors("p"), h=1e-6)
+    for name in grads:
+        assert rel_err(grads[name], fd[f"p.{name}"]) < 1e-5
