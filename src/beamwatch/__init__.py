@@ -1,30 +1,16 @@
 """beamwatch: unsupervised anomaly detection for accelerator beam-monitor
-time series with an LSTM autoencoder trained from scratch."""
+time series with an LSTM autoencoder trained from scratch.
+
+Importing the package loads no numpy. It defaults the BLAS thread count to
+one, because threading this model's small matrix products does not pay; a
+value already in the environment is kept. The default takes effect only if
+numpy has not been imported yet.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
-
-from .autoencoder import (AutoencoderConfig, ModelArtifact, TrainConfig,
-                          init_model, load_model, reconstruction_errors,
-                          save_model, train_epochs)
-from .data import (AlignedFrame, ChannelStats, RawSeries, WindowSet,
-                   align_and_fill, chronological_split, compute_channel_stats,
-                   make_windows, parse_series_csv, remove_fault_neighborhoods,
-                   standardize)
-from .detect import (AnomalyEvent, AnomalyPoint, DetectorThreshold, EvalReport,
-                     compute_threshold, flag_anomalies,
-                     merge_consecutive_anomalies, score_detections)
-from .faults import (FaultEvent, detect_current_drops, merge_event_lists,
-                     parse_fault_events)
-from .synth import SynthConfig, generate_run
-
-__all__ = [
-    "AutoencoderConfig", "ModelArtifact", "TrainConfig", "init_model",
-    "load_model", "reconstruction_errors", "save_model", "train_epochs",
-    "AlignedFrame", "ChannelStats", "RawSeries", "WindowSet", "align_and_fill",
-    "chronological_split", "compute_channel_stats", "make_windows",
-    "parse_series_csv", "remove_fault_neighborhoods", "standardize",
-    "AnomalyEvent", "AnomalyPoint", "DetectorThreshold", "EvalReport",
-    "compute_threshold", "flag_anomalies", "merge_consecutive_anomalies",
-    "score_detections", "FaultEvent", "detect_current_drops",
-    "merge_event_lists", "parse_fault_events", "SynthConfig", "generate_run",
-]

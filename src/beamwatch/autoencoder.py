@@ -7,8 +7,9 @@ the mean absolute reconstruction error with Adam.
 
 Training and inference run the same batched forward from `nn`. Its edges
 are time-major ([k, n, m] windows in, reconstructions out); inside, every
-array is feature-major, one column per window. Training keeps the per-step
-caches for BPTT; inference (`forward`, `reconstruction_errors`) keeps none
+array is feature-major, one column per window. Training applies the dropout
+masks and keeps the per-step caches for BPTT; inference (`forward`,
+`reconstruction_errors`) is eval mode only, with dropout off and no caches,
 and works in zero-padded chunks of `INFERENCE_CHUNK` windows, so every
 matrix product has one shape and a window's result is bitwise the same
 whatever batch, chunk or column it is in.
@@ -116,9 +117,6 @@ class ModelArtifact:
             output_dense=self.output_dense.with_tensors("dense", tensors),
         )
 
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
-
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -201,54 +199,29 @@ def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
     return recon_tm, cache
 
 
-def _padded_chunk(a: np.ndarray | None, lo: int) -> np.ndarray | None:
-    """Rows lo:lo+INFERENCE_CHUNK of `a` along axis -2, zero-padded to a full
-    chunk (None stays None)."""
-    if a is None:
-        return None
-    part = a[..., lo:lo + INFERENCE_CHUNK, :]
-    width = [(0, 0)] * a.ndim
-    width[-2] = (0, INFERENCE_CHUNK - part.shape[-2])
-    return np.pad(part, width)
-
-
-def _chunked_forward(model: ModelArtifact, batch: np.ndarray, mode: str,
-                     rng: np.random.Generator | None):
+def _chunked_forward(model: ModelArtifact, batch: np.ndarray):
     """Yield (lo, padded time-major input chunk, its reconstruction) for the
     zero-padded chunks of INFERENCE_CHUNK windows of a [n, k, m] batch."""
-    n = batch.shape[0]
-    rate = model.config.dropout_rate
-    if mode == "train" and rate > 0.0:
-        if rng is None:
-            raise ConfigError("train-mode forward requires a seeded rng")
-        k, hd = model.config.window_k, model.config.hidden_dim
-        latent_masks = nn.dropout_mask((n, hd), rate, rng)
-        dec_masks_tm = np.swapaxes(nn.dropout_mask((n, k, hd), rate, rng), 0, 1)
-    else:
-        latent_masks = dec_masks_tm = None
     batch_tm = np.swapaxes(batch, 0, 1)
-    for lo in range(0, n, INFERENCE_CHUNK):
-        chunk_tm = _padded_chunk(batch_tm, lo)
-        recon_tm, _ = _forward_batch_cached(
-            model, chunk_tm, _padded_chunk(latent_masks, lo),
-            _padded_chunk(dec_masks_tm, lo), keep_cache=False)
+    for lo in range(0, batch.shape[0], INFERENCE_CHUNK):
+        part = batch_tm[:, lo:lo + INFERENCE_CHUNK]
+        chunk_tm = np.pad(part, [(0, 0), (0, INFERENCE_CHUNK - part.shape[1]), (0, 0)])
+        recon_tm, _ = _forward_batch_cached(model, chunk_tm, None, None, keep_cache=False)
         yield lo, chunk_tm, recon_tm
 
 
-def forward(model: ModelArtifact, batch: np.ndarray, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Reconstruct a [n, k, m] batch of windows.
+def forward(model: ModelArtifact, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
+    """Reconstruct a [n, k, m] batch of windows in eval mode (dropout off).
 
-    Eval mode is deterministic (dropout off). Train mode draws latent masks
-    [n, h] and then decoder masks [n, k, h] from `rng`. Windows run in
-    zero-padded chunks of INFERENCE_CHUNK, so results do not depend on batch
-    composition.
+    Eval is the only mode; any other value raises ConfigError. Windows run
+    in zero-padded chunks of INFERENCE_CHUNK, so results do not depend on
+    batch composition.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode != "eval":
+        raise ConfigError(f"mode must be 'eval', got {mode!r}")
     batch = _check_batch(model.config, batch)
     recon = np.empty_like(batch)
-    for lo, _, recon_tm in _chunked_forward(model, batch, mode, rng):
+    for lo, _, recon_tm in _chunked_forward(model, batch):
         recon[lo:lo + INFERENCE_CHUNK] = np.swapaxes(recon_tm[:, :len(batch) - lo], 0, 1)
     return recon
 
@@ -263,7 +236,7 @@ def reconstruction_errors(model: ModelArtifact, windows: np.ndarray) -> np.ndarr
     """
     windows = _check_batch(model.config, windows)
     errors = np.empty(len(windows))
-    for lo, chunk_tm, recon_tm in _chunked_forward(model, windows, "eval", None):
+    for lo, chunk_tm, recon_tm in _chunked_forward(model, windows):
         chunk_errors = np.mean(np.abs(recon_tm - chunk_tm), axis=(0, 2))
         errors[lo:lo + INFERENCE_CHUNK] = chunk_errors[:len(windows) - lo]
     return errors
@@ -285,8 +258,8 @@ def _backward_batch(model: ModelArtifact, d_recon_tm: np.ndarray, cache) -> dict
                                                   model.decoder_lstm, d_dec_seq)
     if cache["latent_mask"] is not None:
         d_latent *= cache["latent_mask"].T
-    _, enc_grads = nn.lstm_backward_batch(cache["enc_cache"], model.encoder_lstm,
-                                          d_h_last=d_latent, need_input_grads=False)
+    enc_grads = nn.lstm_backward_batch(cache["enc_cache"], model.encoder_lstm,
+                                       d_h_last=d_latent)
     return {
         "encoder.input_kernel": enc_grads["input_kernel"],
         "encoder.recurrent_kernel": enc_grads["recurrent_kernel"],

@@ -17,14 +17,16 @@ from pathlib import Path
 from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
-from .errors import BeamwatchError, ConfigError, DataError
+from .errors import BeamwatchError, ConfigError, DataError, ParseError
 from .ioutil import atomic_write_text
 
 
 def _parse_file(path, parse, *args):
     """Read and parse one input file; an error in its content names the file."""
     try:
-        return parse(Path(path).read_text(), *args)
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except BeamwatchError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .detect import SCORING_MODES
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,14 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
 
 
 def load_run_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Read a config file and resolve its relative paths against its parent."""
+    """Read a UTF-8 config file and resolve its relative paths against its
+    parent; undecodable bytes raise ParseError naming the file."""
     path = Path(path)
-    cfg = parse_run_config(path.read_text(), overrides)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    cfg = parse_run_config(text, overrides)
     base = path.parent
 
     def resolve(p: str) -> str:

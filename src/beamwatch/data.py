@@ -2,8 +2,9 @@
 
 Raw per-channel series are aligned onto a shared 1 Hz integer-second grid
 with forward fill, split chronologically, cleaned of fault neighborhoods,
-standardized with training-set statistics, and cut into sliding windows that
-never cross a gap left by removed or missing seconds.
+standardized with training-set statistics, and cut into stride-1 sliding
+windows that never cross a gap left by removed or missing seconds. Series
+CSVs are the only text format here; aligned frames live in memory only.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ class AlignedFrame:
     @property
     def n_rows(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def start_epoch(self) -> int:
-        if self.n_rows == 0:
-            raise DataError("empty frame has no start epoch")
-        return int(self.timestamps[0])
 
     @property
     def segment_boundaries(self) -> np.ndarray:
@@ -294,70 +289,20 @@ def standardize(frame: AlignedFrame, stats: ChannelStats) -> AlignedFrame:
                         (frame.values - stats.mean) / stats.std)
 
 
-def unstandardize(frame: AlignedFrame, stats: ChannelStats) -> AlignedFrame:
-    """Inverse of standardize."""
-    if stats.channels != frame.channels:
-        raise ConfigError(
-            f"stats channels {stats.channels} do not match frame channels {frame.channels}"
-        )
-    return AlignedFrame(frame.channels, frame.timestamps,
-                        frame.values * stats.std + stats.mean)
-
-
-def make_windows(frame: AlignedFrame, k: int = 30, stride: int = 1) -> WindowSet:
-    """Cut sliding windows of k rows inside each contiguous segment.
+def make_windows(frame: AlignedFrame, k: int = 30) -> WindowSet:
+    """Cut every window of k consecutive rows inside each contiguous segment.
 
     Windows never span a segment boundary. Each window is tagged with the
     epoch second of its last row.
     """
     if k < 1:
         raise ConfigError(f"window size must be >= 1, got {k}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
     windows = []
     ends = []
     for seg_start, seg_stop in frame.segments():
-        for s in range(seg_start, seg_stop - k + 1, stride):
+        for s in range(seg_start, seg_stop - k + 1):
             windows.append(frame.values[s:s + k])
             ends.append(int(frame.timestamps[s + k - 1]))
     if not windows:
         raise DataError(f"no contiguous segment of length >= {k}")
     return WindowSet(np.stack(windows), np.array(ends, dtype=np.int64))
-
-
-def frame_to_csv(frame: AlignedFrame) -> str:
-    """Serialize a frame: `timestamp,<ch1>,...` rows with a blank line
-    between segments. Values round-trip double precision exactly."""
-    lines = ["timestamp," + ",".join(frame.channels)]
-    for seg_idx, (a, b) in enumerate(frame.segments()):
-        if seg_idx > 0:
-            lines.append("")
-        for r in range(a, b):
-            vals = ",".join(repr(float(v)) for v in frame.values[r])
-            lines.append(f"{int(frame.timestamps[r])},{vals}")
-    return "\n".join(lines) + "\n"
-
-
-def frame_from_csv(text: str) -> AlignedFrame:
-    """Parse the frame CSV written by frame_to_csv."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("timestamp,"):
-        raise ParseError("line 1: expected header 'timestamp,<channels>'")
-    channels = tuple(lines[0].split(",")[1:])
-    if not channels:
-        raise ParseError("line 1: no channel columns in header")
-    timestamps: list[int] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(channels) + 1:
-            raise ParseError(f"line {lineno}: expected {len(channels) + 1} fields")
-        try:
-            timestamps.append(int(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed number in {line!r}") from None
-    values = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(channels)))
-    return AlignedFrame(channels, np.array(timestamps, dtype=np.int64), values)

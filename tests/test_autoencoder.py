@@ -57,7 +57,7 @@ class TestInitModel:
     def test_default_parameter_count(self):
         # 4*(64*67+64) + 4*(64*128+64) + (64*3+3)
         model = ae.init_model(ae.AutoencoderConfig())
-        assert model.parameter_count() == 50_627
+        assert sum(t.size for t in model.parameters().values()) == 50_627
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -88,11 +88,12 @@ class TestForward:
         batch = rng.standard_normal((2, 5, 2))
         assert np.array_equal(ae.forward(model, batch), ae.forward(model, batch))
 
-    def test_train_mode_requires_rng(self, rng):
+    def test_only_eval_mode_accepted(self, rng):
         model = ae.init_model(ae.AutoencoderConfig(window_k=5, feature_m=2,
                                                    hidden_dim=4, dropout_rate=0.2, seed=7))
-        with pytest.raises(ConfigError):
-            ae.forward(model, rng.standard_normal((1, 5, 2)), mode="train")
+        for mode in ("train", "test"):
+            with pytest.raises(ConfigError):
+                ae.forward(model, rng.standard_normal((1, 5, 2)), mode=mode)
 
     def test_bad_batch_shape(self, rng):
         model = ae.init_model(TINY)
@@ -186,15 +187,19 @@ class TestBatchedInference:
         assert np.max(np.abs(errors - want_errors), initial=0.0) < 1e-12
 
     def test_train_mode_matches_serial_reference_with_same_masks(self, rng):
-        model = random_model(rng, 4, 2, 3, dropout_rate=0.3)
-        n, hd = CHUNK + 3, 3
-        windows = rng.standard_normal((n, 4, 2))
-        got = ae.forward(model, windows, mode="train", rng=np.random.default_rng(5))
-        masks_rng = np.random.default_rng(5)
-        latent_masks = nn.dropout_mask((n, hd), 0.3, masks_rng)
-        dec_masks = nn.dropout_mask((n, 4, hd), 0.3, masks_rng)
-        want = serial_reconstruction(model, windows, latent_masks, dec_masks)
-        assert np.max(np.abs(got - want)) < 1e-12
+        # the masked forward that training runs, in training's mask shapes
+        k, hd, n = 4, 3, CHUNK + 3
+        model = random_model(rng, k, 2, hd, dropout_rate=0.3)
+        windows = rng.standard_normal((n, k, 2))
+        latent_mask = nn.dropout_mask((n, hd), 0.3, rng)
+        dec_mask = nn.dropout_mask((k, n, hd), 0.3, rng)
+        windows_tm = np.ascontiguousarray(np.swapaxes(windows, 0, 1))
+        recon_tm, _ = ae._forward_batch_cached(model, windows_tm, latent_mask, dec_mask)
+        bare_tm, _ = ae._forward_batch_cached(model, windows_tm, latent_mask, dec_mask,
+                                              keep_cache=False)
+        assert np.array_equal(bare_tm, recon_tm)
+        want = serial_reconstruction(model, windows, latent_mask, np.swapaxes(dec_mask, 0, 1))
+        assert np.max(np.abs(np.swapaxes(recon_tm, 0, 1) - want)) < 1e-12
 
     def test_bitwise_invariant_to_batching(self, rng):
         model = random_model(rng, 5, 3, 6)

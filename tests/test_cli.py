@@ -251,6 +251,17 @@ class TestEvalScenario:
         assert err.startswith(f"error: {box / name}: {where}")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("name", ["wiresum.csv", "run.cfg"], ids=["data", "config"])
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys, name):
+        (tmp_path / "run.cfg").write_text("epochs = 1\n")
+        (tmp_path / "wiresum.csv").write_text("timestamp,value\n0,1.0\n")
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.strip().splitlines()) == 1
+
     def test_truncated_model_names_the_file(self, tmp_path, capsys):
         # detect reads the model before anything else
         (tmp_path / "run.cfg").write_text("")

@@ -115,22 +115,30 @@ class TestMergeConsecutiveAnomalies:
             detect.merge_consecutive_anomalies(
                 [AnomalyPoint(5, 1.0), AnomalyPoint(3, 1.0)], 1)
 
-    def test_properties_against_bruteforce(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(0, 30))
-            ts = np.sort(rng.choice(np.arange(100), size=n, replace=False)) if n else []
-            points = [AnomalyPoint(int(t), float(rng.uniform(0, 5))) for t in ts]
-            gap = int(rng.integers(0, 5))
-            events = detect.merge_consecutive_anomalies(points, gap)
-            for a, b in zip(events, events[1:]):
-                assert b.start - a.end - 1 > gap
-            covered = []
-            for e in events:
-                members = [p for p in points if e.start <= p.timestamp <= e.end]
-                assert members
-                assert e.peak_error == max(p.error for p in members)
-                covered.extend(members)
-            assert covered == points
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-100, 300),
+                                   st.floats(0, 10, allow_nan=False)), max_size=40),
+           gap=st.integers(0, 6))
+    def test_properties_against_bruteforce(self, rows, gap):
+        points = [AnomalyPoint(t, e) for t, e in sorted(rows, key=lambda r: r[0])]
+        events = detect.merge_consecutive_anomalies(points, gap)
+        for a, b in zip(events, events[1:]):
+            assert b.start - a.end - 1 > gap
+        # per-second coverage: the points' seconds, with runs of at most
+        # max_gap empty seconds between neighbouring points filled in
+        stamps = sorted({p.timestamp for p in points})
+        expected = set(stamps)
+        for s1, s2 in zip(stamps, stamps[1:]):
+            if s2 - s1 - 1 <= gap:
+                expected.update(range(s1 + 1, s2))
+        assert {t for e in events for t in range(e.start, e.end + 1)} == expected
+        # each point in one event; an event spans its points and peaks at their maximum
+        for p in points:
+            assert sum(e.start <= p.timestamp <= e.end for e in events) == 1
+        for e in events:
+            members = [p for p in points if e.start <= p.timestamp <= e.end]
+            assert (e.start, e.end) == (members[0].timestamp, members[-1].timestamp)
+            assert e.peak_error == max(p.error for p in members)
 
     def test_negative_gap_rejected(self):
         with pytest.raises(ConfigError):
@@ -286,6 +294,16 @@ class TestAnomalyCsv:
         points = [AnomalyPoint(10, 0.5), AnomalyPoint(42, 1.2345678901234567)]
         text = detect.format_anomaly_csv(points)
         assert detect.parse_anomaly_csv(text) == points
+
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-2**70, 2**70),
+                                   st.floats(allow_nan=False, allow_infinity=False))))
+    def test_round_trip_property(self, rows):
+        points = [AnomalyPoint(t, e) for t, e in rows]
+        back = detect.parse_anomaly_csv(detect.format_anomaly_csv(points))
+        assert [p.timestamp for p in back] == [p.timestamp for p in points]
+        # bitwise: float.hex keeps every bit, the sign of -0.0 included
+        assert [p.error.hex() for p in back] == [p.error.hex() for p in points]
 
     def test_empty(self):
         assert detect.parse_anomaly_csv("timestamp,error\n") == []
