@@ -17,7 +17,9 @@ whatever batch, chunk or column it is in.
 
 from __future__ import annotations
 
+import binascii
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from .errors import (BeamwatchError, ConfigError, DataError, ParseError, ShapeEr
                      VersionError)
 from .ioutil import atomic_write_text
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Windows per inference chunk (the default training batch size). The last
 # chunk is zero-padded to this size; the padding rows are discarded.
@@ -72,6 +74,28 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
+class Provenance:
+    """Where a trained artifact came from: the package version that trained
+    it, the [first, last] epoch second of its chronological train split and
+    the number of windows it was trained on."""
+
+    beamwatch_version: str
+    train_span: tuple[int, int]
+    n_windows: int
+
+    def __post_init__(self):
+        if not isinstance(self.beamwatch_version, str):
+            raise ConfigError("provenance beamwatch_version must be a string")
+        span = self.train_span
+        if not (len(span) == 2 and all(type(t) is int for t in span) and span[0] <= span[1]):
+            raise ConfigError(f"provenance train_span must be [first, last] epoch "
+                              f"seconds, got {list(span)}")
+        if type(self.n_windows) is not int or self.n_windows < 1:
+            raise ConfigError(f"provenance n_windows must be an integer >= 1, "
+                              f"got {self.n_windows!r}")
+
+
+@dataclass(frozen=True)
 class ModelArtifact:
     """Weights plus the normalization stats and threshold needed to apply
     the model to new data. Immutable; training returns updated copies."""
@@ -83,6 +107,7 @@ class ModelArtifact:
     output_dense: nn.DenseParams
     channel_stats: ChannelStats | None = None
     threshold: float | None = None
+    provenance: Provenance | None = None
 
     def __post_init__(self):
         cfg = self.config
@@ -332,33 +357,73 @@ def train_epochs(model: ModelArtifact, windows: np.ndarray,
 # Serialization
 
 
+def _tensor_to_doc(a: np.ndarray) -> dict:
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape),
+            "f8le": binascii.b2a_base64(raw, newline=False).decode("ascii")}
+
+
+def _tensor_from_doc(doc, name: str) -> np.ndarray:
+    """Decode one tensor doc strictly: canonical base64 (the text is
+    re-encoded and compared, which also rejects characters that a lenient
+    decoder skips) of exactly 8 * prod(shape) bytes. Returns a writeable,
+    C-contiguous native float64 array."""
+    if not isinstance(doc, dict) or set(doc) != {"shape", "f8le"}:
+        raise ParseError(f"{name}: expected a {{shape, f8le}} tensor document")
+    shape, text = doc["shape"], doc["f8le"]
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise ParseError(f"{name}: shape must be a list of nonnegative integers")
+    if not isinstance(text, str):
+        raise ParseError(f"{name}: f8le must be a base64 string")
+    try:
+        raw = binascii.a2b_base64(text)
+    except ValueError as exc:
+        raise ParseError(f"{name}: invalid base64: {exc}") from None
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+        raise ParseError(f"{name}: f8le is not canonical base64")
+    if len(raw) != 8 * math.prod(shape):
+        raise ParseError(f"{name}: {len(raw)} bytes do not hold a float64 "
+                         f"tensor of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 def _lstm_to_doc(p: nn.LstmLayerParams) -> dict:
     return {
         "input_dim": p.input_dim,
         "hidden_dim": p.hidden_dim,
-        "input_kernel": p.input_kernel.tolist(),
-        "recurrent_kernel": p.recurrent_kernel.tolist(),
-        "bias": p.bias.tolist(),
+        "input_kernel": _tensor_to_doc(p.input_kernel),
+        "recurrent_kernel": _tensor_to_doc(p.recurrent_kernel),
+        "bias": _tensor_to_doc(p.bias),
     }
 
 
-def _lstm_from_doc(doc: dict) -> nn.LstmLayerParams:
+def _lstm_from_doc(doc: dict, name: str) -> nn.LstmLayerParams:
     return nn.LstmLayerParams(
         input_dim=int(doc["input_dim"]),
         hidden_dim=int(doc["hidden_dim"]),
-        input_kernel=np.asarray(doc["input_kernel"], dtype=np.float64),
-        recurrent_kernel=np.asarray(doc["recurrent_kernel"], dtype=np.float64),
-        bias=np.asarray(doc["bias"], dtype=np.float64),
+        input_kernel=_tensor_from_doc(doc["input_kernel"], f"{name}.input_kernel"),
+        recurrent_kernel=_tensor_from_doc(doc["recurrent_kernel"],
+                                          f"{name}.recurrent_kernel"),
+        bias=_tensor_from_doc(doc["bias"], f"{name}.bias"),
     )
 
 
-def model_to_json(model: ModelArtifact) -> str:
-    """Serialize to a one-line JSON document; float repr round-trips exactly.
+def _provenance_from_doc(doc) -> Provenance | None:
+    if doc is None:
+        return None
+    return Provenance(beamwatch_version=doc["beamwatch_version"],
+                      train_span=tuple(doc["train_span"]), n_windows=doc["n_windows"])
 
-    No indent: with one, `json` falls back from its C encoder to the
-    pure-Python one, which takes about twice as long on the default model.
+
+def model_to_json(model: ModelArtifact) -> str:
+    """Serialize to a one-line JSON document (schema v2).
+
+    Weight tensors are stored as {"shape", "f8le"}: the base64 of their
+    little-endian float64 bytes, so save/load is bitwise exact. Config,
+    channel stats, threshold and provenance are plain JSON values.
     """
     stats = model.channel_stats
+    prov = model.provenance
     doc = {
         "schema_version": model.schema_version,
         "config": {
@@ -374,31 +439,42 @@ def model_to_json(model: ModelArtifact) -> str:
             "std": stats.std.tolist(),
         },
         "threshold": model.threshold,
+        "provenance": None if prov is None else {
+            "beamwatch_version": prov.beamwatch_version,
+            "train_span": list(prov.train_span),
+            "n_windows": prov.n_windows,
+        },
         "encoder_lstm": _lstm_to_doc(model.encoder_lstm),
         "decoder_lstm": _lstm_to_doc(model.decoder_lstm),
         "output_dense": {
-            "weight": model.output_dense.weight.tolist(),
-            "bias": model.output_dense.bias.tolist(),
+            "weight": _tensor_to_doc(model.output_dense.weight),
+            "bias": _tensor_to_doc(model.output_dense.bias),
         },
     }
     return json.dumps(doc, allow_nan=False)
 
 
 def model_from_json(text: str) -> ModelArtifact:
-    """Parse a model document; schema mismatches (VersionError) and malformed
-    or invalid content (ParseError: missing fields, wrong shapes, non-finite
-    weights or channel stats) are rejected outright (no partially loaded
-    model)."""
+    """Parse a model document; schema mismatches (VersionError; a v1
+    document must be retrained) and malformed or invalid content
+    (ParseError: missing fields, bad tensor payloads, wrong shapes,
+    non-finite weights or channel stats) are rejected outright (no
+    partially loaded model)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed model document: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ParseError("model document missing schema_version")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if version == 1:
         raise VersionError(
-            f"unsupported schema_version {doc['schema_version']!r}, "
-            f"expected {SCHEMA_VERSION}"
+            f"model schema_version 1 is no longer read (expected {SCHEMA_VERSION}); "
+            "retrain the model with `beamwatch train`"
+        )
+    if version != SCHEMA_VERSION:
+        raise VersionError(
+            f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
     try:
         cfg_doc = doc["config"]
@@ -420,14 +496,15 @@ def model_from_json(text: str) -> ModelArtifact:
         return ModelArtifact(
             schema_version=SCHEMA_VERSION,
             config=config,
-            encoder_lstm=_lstm_from_doc(doc["encoder_lstm"]),
-            decoder_lstm=_lstm_from_doc(doc["decoder_lstm"]),
+            encoder_lstm=_lstm_from_doc(doc["encoder_lstm"], "encoder_lstm"),
+            decoder_lstm=_lstm_from_doc(doc["decoder_lstm"], "decoder_lstm"),
             output_dense=nn.DenseParams(
-                weight=np.asarray(dense_doc["weight"], dtype=np.float64),
-                bias=np.asarray(dense_doc["bias"], dtype=np.float64),
+                weight=_tensor_from_doc(dense_doc["weight"], "output_dense.weight"),
+                bias=_tensor_from_doc(dense_doc["bias"], "output_dense.bias"),
             ),
             channel_stats=stats,
             threshold=None if threshold is None else float(threshold),
+            provenance=_provenance_from_doc(doc["provenance"]),
         )
     except (KeyError, TypeError, ValueError, BeamwatchError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None

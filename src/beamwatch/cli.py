@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import __version__
 from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
@@ -100,7 +101,9 @@ def cmd_train(cfg: RunConfig) -> None:
 
     train_errors = ae.reconstruction_errors(model, ws.windows)
     thr = detect.compute_threshold(train_errors, cfg.threshold_multiplier)
-    model = replace(model, channel_stats=stats, threshold=thr.value)
+    span = (int(train_frame.timestamps[0]), int(train_frame.timestamps[-1]))
+    provenance = ae.Provenance(__version__, span, len(ws))
+    model = replace(model, channel_stats=stats, threshold=thr.value, provenance=provenance)
     ae.save_model(model, cfg.model_file)
 
     max_err = float(train_errors.max())

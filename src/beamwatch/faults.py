@@ -67,6 +67,11 @@ def parse_fault_events(text: str) -> list[FaultEvent]:
 
 
 def _epoch_second(field: str) -> int:
+    # int() first: float() would round a stamp beyond 2**53
+    try:
+        return int(field)
+    except ValueError:
+        pass
     value = float(field)
     if not (math.isfinite(value) and value.is_integer()):
         raise ValueError(field)

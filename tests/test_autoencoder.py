@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamwatch import autoencoder as ae
 from beamwatch import nn
@@ -398,3 +401,140 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             ae.load_model(path)
+
+
+F8_MAX = np.finfo(np.float64).max
+# -0.0, the smallest subnormal, a larger subnormal and +-max, besides random doubles
+F8_EDGES = [-0.0, 5e-324, -2.5e-310, F8_MAX, -F8_MAX]
+FINITE_F8 = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(F8_EDGES)
+
+
+def tensor_bits(model):
+    return {name: (t.shape, t.tobytes()) for name, t in model.parameters().items()}
+
+
+class TestTensorPayloads:
+    """Schema v2 stores each weight tensor as {"shape", "f8le"}: base64 of
+    its little-endian float64 bytes."""
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                      elements=st.floats() | st.sampled_from(F8_EDGES)))
+    @example(np.array(F8_EDGES))
+    def test_tensor_round_trip_bitwise(self, a):
+        doc = json.loads(json.dumps(ae._tensor_to_doc(a)))
+        out = ae._tensor_from_doc(doc, "t")
+        assert out.shape == a.shape
+        assert out.tobytes() == a.tobytes()
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_model_round_trip_bitwise(self, data):
+        model = ae.init_model(TINY)
+        params = {name: data.draw(hnp.arrays(np.float64, t.shape, elements=FINITE_F8))
+                  for name, t in model.parameters().items()}
+        model = model.with_parameters(params)
+        text = ae.model_to_json(model)
+        loaded = ae.model_from_json(text)
+        assert tensor_bits(loaded) == tensor_bits(model)
+        assert ae.model_to_json(loaded) == text
+
+    def test_loaded_tensors_writeable_contiguous_native(self):
+        loaded = ae.model_from_json(ae.model_to_json(ae.init_model(TINY)))
+        for name, t in loaded.parameters().items():
+            assert t.dtype == np.float64 and t.dtype.isnative, name
+            assert t.flags.writeable and t.flags.c_contiguous, name
+
+    def test_payload_is_little_endian_float64(self):
+        doc = json.loads(ae.model_to_json(ae.init_model(TINY)))["output_dense"]["bias"]
+        assert doc["shape"] == [2]
+        assert doc["f8le"] == "AAAAAAAAAAAAAAAAAAAAAA=="
+        doc = ae._tensor_to_doc(np.array([1.0]))
+        assert doc == {"shape": [1], "f8le": "AAAAAAAA8D8="}
+
+    def test_provenance_round_trip(self):
+        import dataclasses
+        prov = ae.Provenance("0.1.0", (3600, 5399), 1771)
+        model = dataclasses.replace(ae.init_model(TINY), provenance=prov)
+        text = ae.model_to_json(model)
+        assert ae.model_from_json(text).provenance == prov
+        assert ae.model_to_json(ae.model_from_json(text)) == text
+        assert ae.init_model(TINY).provenance is None
+
+    @staticmethod
+    def _bias_doc(mutate):
+        """Model document whose encoder bias tensor doc (16 floats: 128
+        bytes, one '=' of padding) is replaced by mutate(original)."""
+        doc = json.loads(ae.model_to_json(ae.init_model(TINY)))
+        doc["encoder_lstm"]["bias"] = mutate(doc["encoder_lstm"]["bias"])
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("mutate,reason", [
+        pytest.param(lambda d: {**d, "f8le": d["f8le"][:8] + "!" + d["f8le"][8:]},
+                     "not canonical", id="non-alphabet-character"),
+        pytest.param(lambda d: {**d, "f8le": d["f8le"][:8] + "\n" + d["f8le"][8:]},
+                     "not canonical", id="embedded-newline"),
+        pytest.param(lambda d: {**d, "f8le": d["f8le"].rstrip("=")}, "padding",
+                     id="missing-padding"),
+        pytest.param(lambda d: {**d, "f8le": d["f8le"] + "=="}, "not canonical",
+                     id="extra-padding"),
+        pytest.param(lambda d: {**d, "f8le": d["f8le"][:-2] + "B="}, "not canonical",
+                     id="nonzero-trailing-bits"),
+        pytest.param(lambda d: ae._tensor_to_doc(np.zeros(15)) | {"shape": [16]},
+                     "120 bytes", id="byte-count-short"),
+        pytest.param(lambda d: ae._tensor_to_doc(np.zeros(17)) | {"shape": [16]},
+                     "136 bytes", id="byte-count-long"),
+        pytest.param(lambda d: ae._tensor_to_doc(np.zeros(20)), "bias shape",
+                     id="shape-disagrees-with-config"),
+        pytest.param(lambda d: ae._tensor_to_doc(np.zeros((4, 4))), "bias shape",
+                     id="wrong-rank"),
+        pytest.param(lambda d: ae._tensor_to_doc(np.r_[np.zeros(15), np.nan]), "non-finite",
+                     id="nan-in-bytes"),
+        pytest.param(lambda d: ae._tensor_to_doc(np.r_[np.inf, np.zeros(15)]), "non-finite",
+                     id="inf-in-bytes"),
+        pytest.param(lambda d: [0.0] * 16, "tensor document", id="list-instead-of-tensor-doc"),
+        pytest.param(lambda d: {**d, "shape": [16.0]}, "shape must", id="float-shape"),
+        pytest.param(lambda d: {**d, "shape": [-16]}, "shape must", id="negative-shape"),
+        pytest.param(lambda d: {**d, "f8le": None}, "base64 string", id="payload-not-a-string"),
+        pytest.param(lambda d: {**d, "f8le": "AAAA\u00e9AAA"}, "ASCII", id="non-ascii-payload"),
+        pytest.param(lambda d: {**d, "dtype": "f8"}, "tensor document", id="extra-key"),
+        pytest.param(lambda d: {"shape": d["shape"]}, "tensor document", id="missing-payload"),
+    ])
+    def test_malformed_payload_rejected(self, mutate, reason):
+        with pytest.raises(ParseError, match="malformed model document") as info:
+            ae.model_from_json(self._bias_doc(mutate))
+        assert reason in str(info.value)
+        assert "\n" not in str(info.value)
+
+    def test_malformed_provenance_rejected(self):
+        doc = json.loads(ae.model_to_json(ae.init_model(TINY)))
+        for prov in ({"beamwatch_version": "0.1.0", "train_span": [5, 4], "n_windows": 1},
+                     {"beamwatch_version": "0.1.0", "train_span": [4, 5], "n_windows": 0},
+                     {"beamwatch_version": 1, "train_span": [4, 5], "n_windows": 1},
+                     {"beamwatch_version": "0.1.0", "train_span": [4], "n_windows": 1},
+                     {"beamwatch_version": "0.1.0", "train_span": [4, 5.5], "n_windows": 1},
+                     {"beamwatch_version": "0.1.0", "train_span": [4, 5], "n_windows": 2.0},
+                     {"beamwatch_version": "0.1.0", "train_span": 4, "n_windows": 1},
+                     [4, 5]):
+            doc["provenance"] = prov
+            with pytest.raises(ParseError):
+                ae.model_from_json(json.dumps(doc))
+        del doc["provenance"]
+        with pytest.raises(ParseError):
+            ae.model_from_json(json.dumps(doc))
+
+    def test_version_1_document_asks_for_retraining(self):
+        # the v1 layout: weights as nested decimal lists, no provenance
+        model = ae.init_model(TINY)
+        doc = json.loads(ae.model_to_json(model))
+        doc["schema_version"] = 1
+        del doc["provenance"]
+        doc["encoder_lstm"].update({k: getattr(model.encoder_lstm, k).tolist()
+                                    for k in ("input_kernel", "recurrent_kernel", "bias")})
+        doc["decoder_lstm"].update({k: getattr(model.decoder_lstm, k).tolist()
+                                    for k in ("input_kernel", "recurrent_kernel", "bias")})
+        doc["output_dense"] = {"weight": model.output_dense.weight.tolist(),
+                               "bias": model.output_dense.bias.tolist()}
+        with pytest.raises(VersionError, match="retrain") as info:
+            ae.model_from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import beamwatch
 from beamwatch import autoencoder as ae
 from beamwatch import config as cfgmod
 from beamwatch.cli import main
@@ -93,6 +94,10 @@ class TestPipeline:
         assert len(report["loss_history"]) == 3
         assert report["threshold"] == model.threshold
         assert report["threshold_to_max_error_ratio"] > 0
+        first, last = model.provenance.train_span
+        assert model.provenance.beamwatch_version == beamwatch.__version__
+        assert model.provenance.n_windows == report["n_windows"]
+        assert last - first + 1 == report["n_train_rows"]
 
     def test_detect_outputs(self, pipeline_dir):
         out = pipeline_dir / "out"

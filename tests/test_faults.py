@@ -65,9 +65,17 @@ class TestParseFaultEvents:
         events = [FaultEvent(10, 20, "recorded"), FaultEvent(40, 40, "current_drop")]
         assert faults.parse_fault_events(faults.format_fault_csv(events)) == events
 
-    # stamps within +-2**53, where the parser's float() reads an integer exactly
+    def test_stamps_beyond_float_precision(self):
+        events = faults.parse_fault_events("start,end\n9007199254740993,9007199254740995\n")
+        assert events == [FaultEvent(2**53 + 1, 2**53 + 3, "recorded")]
+
+    def test_float_forms_of_integer_stamps(self):
+        events = faults.parse_fault_events("start,end\n1.0,2e0\n")
+        assert events == [FaultEvent(1, 2, "recorded")]
+
+    # stamps across the int64 range, far beyond 2**53, where float() would round
     @settings(deadline=None)
-    @given(rows=st.lists(st.tuples(st.integers(-2**53, 2**53 - 100), st.integers(0, 99),
+    @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 100), st.integers(0, 99),
                                    st.text(LABEL_CHARS, min_size=1, max_size=12))))
     def test_round_trip_property(self, rows):
         # the parser sorts by (start, end) and keeps the first of equal pairs
