@@ -27,8 +27,8 @@ import numpy as np
 
 from . import nn
 from .data import ChannelStats
-from .errors import (BeamwatchError, ConfigError, DataError, ParseError, ShapeError,
-                     VersionError)
+from .errors import (BeamwatchError, ConfigError, DataError, NumericError, ParseError,
+                     ShapeError, VersionError)
 from .ioutil import atomic_write_text
 
 SCHEMA_VERSION = 2
@@ -100,7 +100,6 @@ class ModelArtifact:
     """Weights plus the normalization stats and threshold needed to apply
     the model to new data. Immutable; training returns updated copies."""
 
-    schema_version: int
     config: AutoencoderConfig
     encoder_lstm: nn.LstmLayerParams
     decoder_lstm: nn.LstmLayerParams
@@ -175,7 +174,7 @@ def init_model(config: AutoencoderConfig) -> ModelArtifact:
     dense_w = _glorot_uniform(rng, (config.feature_m, config.hidden_dim),
                               config.hidden_dim, config.feature_m)
     dense = nn.DenseParams(weight=dense_w, bias=np.zeros(config.feature_m))
-    return ModelArtifact(SCHEMA_VERSION, config, encoder, decoder, dense)
+    return ModelArtifact(config, encoder, decoder, dense)
 
 
 def _check_batch(config: AutoencoderConfig, batch: np.ndarray) -> np.ndarray:
@@ -397,15 +396,38 @@ def _lstm_to_doc(p: nn.LstmLayerParams) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # rejects bool, float and str
+        raise ParseError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(value, name: str) -> float:
+    if type(value) not in (int, float):
+        raise ParseError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _lstm_from_doc(doc: dict, name: str) -> nn.LstmLayerParams:
-    return nn.LstmLayerParams(
-        input_dim=int(doc["input_dim"]),
-        hidden_dim=int(doc["hidden_dim"]),
-        input_kernel=_tensor_from_doc(doc["input_kernel"], f"{name}.input_kernel"),
-        recurrent_kernel=_tensor_from_doc(doc["recurrent_kernel"],
-                                          f"{name}.recurrent_kernel"),
-        bias=_tensor_from_doc(doc["bias"], f"{name}.bias"),
-    )
+    try:
+        return nn.LstmLayerParams(
+            input_dim=_json_int(doc["input_dim"], f"{name}.input_dim"),
+            hidden_dim=_json_int(doc["hidden_dim"], f"{name}.hidden_dim"),
+            input_kernel=_tensor_from_doc(doc["input_kernel"], f"{name}.input_kernel"),
+            recurrent_kernel=_tensor_from_doc(doc["recurrent_kernel"],
+                                              f"{name}.recurrent_kernel"),
+            bias=_tensor_from_doc(doc["bias"], f"{name}.bias"),
+        )
+    except (ShapeError, NumericError) as exc:
+        raise ParseError(f"{name}: {exc}") from None
+
+
+def _dense_from_doc(doc: dict, name: str) -> nn.DenseParams:
+    try:
+        return nn.DenseParams(weight=_tensor_from_doc(doc["weight"], f"{name}.weight"),
+                              bias=_tensor_from_doc(doc["bias"], f"{name}.bias"))
+    except (ShapeError, NumericError) as exc:
+        raise ParseError(f"{name}: {exc}") from None
 
 
 def _provenance_from_doc(doc) -> Provenance | None:
@@ -425,7 +447,7 @@ def model_to_json(model: ModelArtifact) -> str:
     stats = model.channel_stats
     prov = model.provenance
     doc = {
-        "schema_version": model.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "config": {
             "window_k": model.config.window_k,
             "feature_m": model.config.feature_m,
@@ -457,8 +479,9 @@ def model_to_json(model: ModelArtifact) -> str:
 def model_from_json(text: str) -> ModelArtifact:
     """Parse a model document; schema mismatches (VersionError; a v1
     document must be retrained) and malformed or invalid content
-    (ParseError: missing fields, bad tensor payloads, wrong shapes,
-    non-finite weights or channel stats) are rejected outright (no
+    (ParseError: missing fields, config values of the wrong JSON type,
+    bad tensor payloads, wrong shapes, non-finite weights or channel
+    stats; layer errors name the layer) are rejected outright (no
     partially loaded model)."""
     try:
         doc = json.loads(text)
@@ -479,11 +502,9 @@ def model_from_json(text: str) -> ModelArtifact:
     try:
         cfg_doc = doc["config"]
         config = AutoencoderConfig(
-            window_k=int(cfg_doc["window_k"]),
-            feature_m=int(cfg_doc["feature_m"]),
-            hidden_dim=int(cfg_doc["hidden_dim"]),
-            dropout_rate=float(cfg_doc["dropout_rate"]),
-            seed=int(cfg_doc["seed"]),
+            **{key: _json_int(cfg_doc[key], f"config.{key}")
+               for key in ("window_k", "feature_m", "hidden_dim", "seed")},
+            dropout_rate=_json_number(cfg_doc["dropout_rate"], "config.dropout_rate"),
         )
         stats_doc = doc["channel_stats"]
         stats = None if stats_doc is None else ChannelStats(
@@ -492,16 +513,11 @@ def model_from_json(text: str) -> ModelArtifact:
             std=np.asarray(stats_doc["std"], dtype=np.float64),
         )
         threshold = doc["threshold"]
-        dense_doc = doc["output_dense"]
         return ModelArtifact(
-            schema_version=SCHEMA_VERSION,
             config=config,
             encoder_lstm=_lstm_from_doc(doc["encoder_lstm"], "encoder_lstm"),
             decoder_lstm=_lstm_from_doc(doc["decoder_lstm"], "decoder_lstm"),
-            output_dense=nn.DenseParams(
-                weight=_tensor_from_doc(dense_doc["weight"], "output_dense.weight"),
-                bias=_tensor_from_doc(dense_doc["bias"], "output_dense.bias"),
-            ),
+            output_dense=_dense_from_doc(doc["output_dense"], "output_dense"),
             channel_stats=stats,
             threshold=None if threshold is None else float(threshold),
             provenance=_provenance_from_doc(doc["provenance"]),

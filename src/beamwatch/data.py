@@ -3,8 +3,9 @@
 Raw per-channel series are aligned onto a shared 1 Hz integer-second grid
 with forward fill, split chronologically, cleaned of fault neighborhoods,
 standardized with training-set statistics, and cut into stride-1 sliding
-windows that never cross a gap left by removed or missing seconds. Series
-CSVs are the only text format here; aligned frames live in memory only.
+windows: rows s..s+k-1 form a window exactly when ts[s+k-1] - ts[s] == k-1,
+so none crosses a gap left by removed or missing seconds. Series CSVs are
+the only text format here; aligned frames live in memory only.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class RawSeries:
 class AlignedFrame:
     """Multi-channel series on a uniform 1 Hz grid.
 
-    Rows keep their original epoch-second timestamps after removals, so a
-    jump of more than one second between consecutive rows marks a segment
-    boundary. Windows are only built inside segments.
+    Rows keep their original epoch-second timestamps after removals. The
+    stamps are strictly increasing integers, so rows s..s+k-1 are k
+    consecutive seconds, a window, exactly when ts[s+k-1] - ts[s] == k-1.
     """
 
     channels: tuple[str, ...]
@@ -74,20 +75,6 @@ class AlignedFrame:
     @property
     def n_rows(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def segment_boundaries(self) -> np.ndarray:
-        """Row indices that start a new segment (index 0 excluded)."""
-        if self.n_rows < 2:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(np.diff(self.timestamps) > 1) + 1
-
-    def segments(self) -> list[tuple[int, int]]:
-        """Half-open (start, stop) row-index ranges of contiguous 1 Hz runs."""
-        if self.n_rows == 0:
-            return []
-        cuts = [0, *self.segment_boundaries.tolist(), self.n_rows]
-        return [(cuts[j], cuts[j + 1]) for j in range(len(cuts) - 1)]
 
 
 @dataclass(frozen=True)
@@ -252,8 +239,8 @@ def remove_fault_neighborhoods(frame: AlignedFrame,
                                margin: int = 10) -> AlignedFrame:
     """Drop every second within `margin` of a fault interval (inclusive).
 
-    Each removal leaves a timestamp gap, which later operations treat as a
-    segment boundary; overlapping removal intervals simply union.
+    Each removal leaves a timestamp gap, so no window of `make_windows`
+    spans a removed second; overlapping removal intervals simply union.
     """
     if margin < 0:
         raise ConfigError(f"margin must be >= 0, got {margin}")
@@ -290,19 +277,15 @@ def standardize(frame: AlignedFrame, stats: ChannelStats) -> AlignedFrame:
 
 
 def make_windows(frame: AlignedFrame, k: int = 30) -> WindowSet:
-    """Cut every window of k consecutive rows inside each contiguous segment.
-
-    Windows never span a segment boundary. Each window is tagged with the
-    epoch second of its last row.
+    """Copy out every k rows s..s+k-1 with ts[s+k-1] - ts[s] == k-1 (k
+    consecutive seconds, so no gap inside), each tagged with its last stamp.
     """
     if k < 1:
         raise ConfigError(f"window size must be >= 1, got {k}")
-    windows = []
-    ends = []
-    for seg_start, seg_stop in frame.segments():
-        for s in range(seg_start, seg_stop - k + 1):
-            windows.append(frame.values[s:s + k])
-            ends.append(int(frame.timestamps[s + k - 1]))
-    if not windows:
+    ts = frame.timestamps
+    n = max(frame.n_rows - k + 1, 0)
+    starts = np.flatnonzero(ts[k - 1:k - 1 + n] - ts[:n] == k - 1)
+    if len(starts) == 0:
         raise DataError(f"no contiguous segment of length >= {k}")
-    return WindowSet(np.stack(windows), np.array(ends, dtype=np.int64))
+    rows = np.lib.stride_tricks.sliding_window_view(frame.values, (k, frame.values.shape[1]))
+    return WindowSet(rows[starts, 0], ts[starts + k - 1])

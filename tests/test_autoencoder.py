@@ -1,7 +1,9 @@
 """Tests for the six-layer autoencoder: init, forward, training,
 reconstruction errors, and artifact serialization."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -336,7 +338,6 @@ class TestSerialization:
     def _calibrated_model(self):
         model = ae.init_model(TINY)
         stats = ChannelStats(("a", "b"), np.array([1.0, -0.5]), np.array([2.0, 0.25]))
-        import dataclasses
         return dataclasses.replace(model, channel_stats=stats, threshold=0.125)
 
     def test_round_trip_bitwise_errors(self, rng, tmp_path):
@@ -402,6 +403,51 @@ class TestSerialization:
         with pytest.raises(ParseError):
             ae.load_model(path)
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("config", "window_k", 5.9),
+        ("config", "feature_m", 2.0),
+        ("config", "hidden_dim", "64"),
+        ("config", "seed", True),
+        ("config", "dropout_rate", True),
+        ("config", "dropout_rate", "0.2"),
+        ("encoder_lstm", "input_dim", 2.7),
+        ("decoder_lstm", "hidden_dim", False),
+    ])
+    def test_config_field_of_wrong_json_type(self, section, field, value):
+        doc = json.loads(ae.model_to_json(ae.init_model(TINY)))
+        doc[section][field] = value
+        kind = "number" if field == "dropout_rate" else "integer"
+        with pytest.raises(ParseError, match=f"{section}.{field} must be a JSON {kind}, "
+                                             f"got {re.escape(json.dumps(value))}$") as info:
+            ae.model_from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    def test_written_config_round_trips(self, dropout_rate):
+        config = dataclasses.replace(TINY, dropout_rate=dropout_rate, seed=2**40)
+        text = ae.model_to_json(ae.init_model(config))
+        loaded = ae.model_from_json(text)
+        assert loaded.config == config
+        assert ae.model_to_json(loaded) == text
+        # a JSON integer is a number too
+        doc = json.loads(text)
+        doc["config"]["dropout_rate"] = 0
+        assert ae.model_from_json(json.dumps(doc)).config.dropout_rate == 0.0
+
+    @pytest.mark.parametrize("layer,tensor,bad,reason", [
+        ("encoder_lstm", "bias", np.zeros(20), "bias shape (20,), expected (16,)"),
+        ("decoder_lstm", "input_kernel", np.full((16, 4), np.nan),
+         "non-finite entries in input_kernel"),
+        ("output_dense", "bias", np.zeros(3), "dense bias length 3 does not match"),
+    ])
+    def test_layer_error_names_layer(self, layer, tensor, bad, reason):
+        doc = json.loads(ae.model_to_json(ae.init_model(TINY)))
+        doc[layer][tensor] = ae._tensor_to_doc(bad)
+        with pytest.raises(ParseError) as info:
+            ae.model_from_json(json.dumps(doc))
+        assert f"malformed model document: {layer}: {reason}" in str(info.value)
+        assert "\n" not in str(info.value)
+
 
 F8_MAX = np.finfo(np.float64).max
 # -0.0, the smallest subnormal, a larger subnormal and +-max, besides random doubles
@@ -453,7 +499,6 @@ class TestTensorPayloads:
         assert doc == {"shape": [1], "f8le": "AAAAAAAA8D8="}
 
     def test_provenance_round_trip(self):
-        import dataclasses
         prov = ae.Provenance("0.1.0", (3600, 5399), 1771)
         model = dataclasses.replace(ae.init_model(TINY), provenance=prov)
         text = ae.model_to_json(model)

@@ -1,6 +1,9 @@
 """Tests for parsing, alignment, splitting, fault removal, standardization,
 and window construction, including brute-force oracles for the invariants."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,19 +212,35 @@ class TestAlignAndFill:
         assert np.array_equal(again.timestamps, frame.timestamps)
         assert np.array_equal(again.values, frame.values)
 
-    def test_forward_fill_matches_bruteforce(self, rng):
-        # oracle: per grid second, last observation at or before it
-        for _ in range(25):
-            n_obs = int(rng.integers(1, 15))
-            ts = np.sort(rng.uniform(0, 40, n_obs))
-            ts = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]
-            vals = rng.standard_normal(len(ts))
-            s = data.RawSeries("x", ts, vals)
-            frame = data.align_and_fill([s])
-            for row, second in enumerate(frame.timestamps):
-                eligible = np.flatnonzero(ts <= second)
-                assert len(eligible) > 0
-                assert frame.values[row, 0] == vals[eligible[-1]]
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(-50, 50).map(float) |
+                                       st.floats(-50, 50, allow_nan=False),
+                                       st.floats(allow_nan=False, allow_infinity=False)),
+                             min_size=1, max_size=15, unique_by=lambda p: p[0]),
+                    min_size=1, max_size=3))
+    def test_forward_fill_matches_bruteforce(self, channels):
+        observations = [sorted(obs) for obs in channels]
+        series = [data.RawSeries(f"c{j}", np.array([t for t, _ in obs]),
+                                 np.array([v for _, v in obs]))
+                  for j, obs in enumerate(observations)]
+        # oracle: the grid runs from the latest ceil of the first stamps to
+        # the earliest ceil of the last stamps; each cell holds the channel's
+        # last observation at or before that second
+        start = max(math.ceil(obs[0][0]) for obs in observations)
+        end = min(math.ceil(obs[-1][0]) for obs in observations)
+        if start > end:
+            with pytest.raises(DataError, match="do not overlap"):
+                data.align_and_fill(series)
+            return
+        frame = data.align_and_fill(series)
+        assert frame.channels == tuple(s.channel_name for s in series)
+        assert frame.timestamps.dtype == np.int64
+        assert frame.timestamps.tolist() == list(range(start, end + 1))
+        for row, second in enumerate(range(start, end + 1)):
+            for j, obs in enumerate(observations):
+                seen = [v for t, v in obs if t <= second]
+                assert seen
+                assert frame.values[row, j] == seen[-1]
 
 
 class TestChronologicalSplit:
@@ -283,29 +302,32 @@ class TestRemoveFaultNeighborhoods:
     def test_removal_creates_segment_boundary(self, rng):
         frame = frame_of(np.arange(0, 60), rng.standard_normal((60, 1)))
         out = data.remove_fault_neighborhoods(frame, [FaultEvent(30, 30)], margin=2)
-        assert len(out.segments()) == 2
+        # exactly one gap, where seconds 28..32 were removed
+        assert np.flatnonzero(np.diff(out.timestamps) > 1).tolist() == [27]
+        assert out.timestamps[27:29].tolist() == [27, 33]
 
     def test_negative_margin_rejected(self, rng):
         frame = frame_of(np.arange(5), rng.standard_normal((5, 1)))
         with pytest.raises(ConfigError):
             data.remove_fault_neighborhoods(frame, [], margin=-1)
 
-    def test_matches_per_second_oracle(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(5, 60))
-            start = int(rng.integers(0, 50))
-            frame = frame_of(np.arange(start, start + n), rng.standard_normal((n, 1)))
-            events = [
-                FaultEvent(int(s), int(s + rng.integers(0, 4)))
-                for s in rng.integers(start - 5, start + n + 5, size=int(rng.integers(0, 4)))
-            ]
-            margin = int(rng.integers(0, 6))
-            out = data.remove_fault_neighborhoods(frame, events, margin)
-            kept = set(out.timestamps.tolist())
-            for second in frame.timestamps.tolist():
-                in_neighborhood = any(
-                    e.start - margin <= second <= e.end + margin for e in events)
-                assert (second not in kept) == in_neighborhood
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.integers(1, 4), max_size=60), start=st.integers(-10**6, 10**9),
+           spans=st.lists(st.tuples(st.integers(-8, 248), st.integers(0, 5)), max_size=4),
+           margin=st.integers(0, 6), m=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_second_oracle(self, steps, start, spans, margin, m, seed):
+        # stamps with gaps of up to 3 missing seconds; events reach past both ends
+        ts = (start + np.cumsum(steps, dtype=np.int64)).tolist()
+        values = np.random.default_rng(seed).standard_normal((len(ts), m))
+        frame = frame_of(ts, values)
+        events = [FaultEvent(start + s, start + s + d) for s, d in spans]
+        out = data.remove_fault_neighborhoods(frame, events, margin)
+        # oracle: a second is kept, with its row, iff no event's margin covers it
+        kept = [j for j, t in enumerate(ts)
+                if not any(e.start - margin <= t <= e.end + margin for e in events)]
+        assert out.channels == frame.channels
+        assert out.timestamps.tolist() == [ts[j] for j in kept]
+        assert np.array_equal(out.values, values[kept])
 
 
 class TestChannelStats:
@@ -403,6 +425,25 @@ class TestMakeWindows:
         assert np.array_equal(ws.windows, np.stack([values[j:j + k] for j in starts]))
         assert ws.end_timestamps.tolist() == [ts[j + k - 1] for j in starts]
 
+    def test_windows_are_fresh_float64_copies(self, rng):
+        frame = frame_of([0, 1, 2, 3, 5, 6, 7, 8], rng.standard_normal((8, 2)))
+        before = frame.values.copy()
+        ws = data.make_windows(frame, k=3)
+        assert ws.windows.shape == (4, 3, 2) and ws.windows.dtype == np.float64
+        assert ws.windows.flags.c_contiguous and ws.windows.flags.writeable
+        assert not np.shares_memory(ws.windows, frame.values)
+        assert ws.end_timestamps.dtype == np.int64
+        assert ws.end_timestamps.tolist() == [2, 3, 7, 8]
+        ws.windows[...] = 0.0
+        assert np.array_equal(frame.values, before)
+
+    @pytest.mark.parametrize("n_rows,k", [(0, 1), (0, 30), (3, 4), (29, 30), (1, 10**6)])
+    def test_too_few_rows_rejected(self, rng, n_rows, k):
+        frame = frame_of(np.arange(n_rows), rng.standard_normal((n_rows, 2)))
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(f'no contiguous segment of length >= {k}')}$"):
+            data.make_windows(frame, k=k)
+
     def test_window_contents(self, rng):
         frame = frame_of(np.arange(8), rng.standard_normal((8, 2)))
         ws = data.make_windows(frame, k=3)
@@ -430,5 +471,7 @@ class TestFrameValidation:
 
     def test_segments_derived_from_gaps(self, rng):
         frame = frame_of([0, 1, 2, 10, 11, 30], rng.standard_normal((6, 1)))
-        assert frame.segments() == [(0, 3), (3, 5), (5, 6)]
-        assert frame.segment_boundaries.tolist() == [3, 5]
+        # rows 3 and 5 start new runs of consecutive seconds, and only they
+        assert (np.flatnonzero(np.diff(frame.timestamps) > 1) + 1).tolist() == [3, 5]
+        assert data.make_windows(frame, k=2).end_timestamps.tolist() == [1, 2, 11]
+        assert data.make_windows(frame, k=3).end_timestamps.tolist() == [2]

@@ -60,7 +60,7 @@ class TestGenerateRun:
     def test_frame_passes_pipeline_validation(self):
         frame, cur, _ = synth.generate_run(SMALL)
         assert frame.channels == ("wiresum", "xpos", "ypos")
-        assert len(frame.segments()) == 1
+        assert np.all(np.diff(frame.timestamps) == 1)
         assert frame.n_rows == SMALL.duration
         # frame and current round-trip through the CSV interfaces
         again = data.align_and_fill([
