@@ -405,7 +405,25 @@ def _json_int(value, name: str) -> int:
 def _json_number(value, name: str) -> float:
     if type(value) not in (int, float):
         raise ParseError(f"{name} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{name} is beyond the float64 range") from None
+
+
+def _json_numbers(value, name: str) -> np.ndarray:
+    if type(value) is not list or any(type(v) not in (int, float) for v in value):
+        raise ParseError(f"{name} must be a list of JSON numbers, got {json.dumps(value)}")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ParseError(f"{name} is beyond the float64 range") from None
+
+
+def _json_strings(value, name: str) -> tuple[str, ...]:
+    if type(value) is not list or any(type(v) is not str for v in value):
+        raise ParseError(f"{name} must be a list of strings, got {json.dumps(value)}")
+    return tuple(value)
 
 
 def _lstm_from_doc(doc: dict, name: str) -> nn.LstmLayerParams:
@@ -479,10 +497,11 @@ def model_to_json(model: ModelArtifact) -> str:
 def model_from_json(text: str) -> ModelArtifact:
     """Parse a model document; schema mismatches (VersionError; a v1
     document must be retrained) and malformed or invalid content
-    (ParseError: missing fields, config values of the wrong JSON type,
-    bad tensor payloads, wrong shapes, non-finite weights or channel
-    stats; layer errors name the layer) are rejected outright (no
-    partially loaded model)."""
+    (ParseError: missing fields, config, threshold or channel-stats values
+    of the wrong JSON type or beyond the float64 range, bad tensor
+    payloads, wrong shapes, non-finite weights or channel stats; layer
+    errors name the layer) are rejected outright (no partially loaded
+    model)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -508,18 +527,20 @@ def model_from_json(text: str) -> ModelArtifact:
         )
         stats_doc = doc["channel_stats"]
         stats = None if stats_doc is None else ChannelStats(
-            channels=tuple(stats_doc["channels"]),
-            mean=np.asarray(stats_doc["mean"], dtype=np.float64),
-            std=np.asarray(stats_doc["std"], dtype=np.float64),
+            channels=_json_strings(stats_doc["channels"], "channel_stats.channels"),
+            mean=_json_numbers(stats_doc["mean"], "channel_stats.mean"),
+            std=_json_numbers(stats_doc["std"], "channel_stats.std"),
         )
         threshold = doc["threshold"]
+        if threshold is not None:
+            threshold = _json_number(threshold, "threshold")
         return ModelArtifact(
             config=config,
             encoder_lstm=_lstm_from_doc(doc["encoder_lstm"], "encoder_lstm"),
             decoder_lstm=_lstm_from_doc(doc["decoder_lstm"], "decoder_lstm"),
             output_dense=_dense_from_doc(doc["output_dense"], "output_dense"),
             channel_stats=stats,
-            threshold=None if threshold is None else float(threshold),
+            threshold=threshold,
             provenance=_provenance_from_doc(doc["provenance"]),
         )
     except (KeyError, TypeError, ValueError, BeamwatchError) as exc:
@@ -532,4 +553,4 @@ def save_model(model: ModelArtifact, destination: str | Path) -> None:
 
 
 def load_model(source: str | Path) -> ModelArtifact:
-    return model_from_json(Path(source).read_text())
+    return model_from_json(Path(source).read_text(encoding="utf-8"))

@@ -19,7 +19,7 @@ from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
 from .errors import BeamwatchError, ConfigError, DataError, ParseError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, atomic_writer
 
 
 def _parse_file(path, parse, *args):
@@ -71,11 +71,12 @@ def cmd_synth(cfg: RunConfig) -> None:
             f"synth produces {len(frame.channels)} channels but config names "
             f"{len(cfg.series_files)} series files"
         )
-    for idx, path in enumerate(cfg.series_files):
-        series = data.RawSeries(frame.channels[idx],
-                                frame.timestamps.astype(float), frame.values[:, idx])
-        atomic_write_text(path, data.format_series_csv(series))
-    atomic_write_text(cfg.current_file, data.format_series_csv(current))
+    stamps = frame.timestamps.astype(float)
+    outputs = [(path, data.RawSeries(name, stamps, frame.values[:, idx]))
+               for idx, (path, name) in enumerate(zip(cfg.series_files, frame.channels))]
+    for path, series in outputs + [(cfg.current_file, current)]:
+        with atomic_writer(path) as fh:
+            data.format_series_csv(series, fh)
     atomic_write_text(cfg.fault_files[0], faults.format_fault_csv(truth))
     print(f"synth: wrote {scfg.duration}s run with {len(truth)} faults "
           f"to {len(cfg.series_files) + 2} files")

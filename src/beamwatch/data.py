@@ -5,15 +5,17 @@ with forward fill, split chronologically, cleaned of fault neighborhoods,
 standardized with training-set statistics, and cut into stride-1 sliding
 windows: rows s..s+k-1 form a window exactly when ts[s+k-1] - ts[s] == k-1,
 so none crosses a gap left by removed or missing seconds. Series CSVs are
-the only text format here; aligned frames live in memory only.
+the only text format here, written to an open file a block of rows at a
+time; aligned frames live in memory only.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -138,16 +140,29 @@ def parse_series_csv(text: str, channel_name: str = "series") -> RawSeries:
 _PLAIN_SERIES_BYTES = b"0123456789.,+-eE \t\r\n"
 
 
+# What the header leaves when the plain bytes are deleted from it.
+_HEADER_RESIDUE = SERIES_CSV_HEADER.encode("ascii").translate(None, _PLAIN_SERIES_BYTES)
+_NON_BLANK = re.compile(rb"[^ \t\r\n]")
+
+
 def _parse_plain_series(text: str) -> np.ndarray | None:
     """Timestamps and values ([2, n]) of a plain, valid series CSV, or None
-    when the line loop must decide."""
-    head, _, body = text.partition("\n")
-    if (head.rstrip("\r") != SERIES_CSV_HEADER or not text.isascii()
-            or not body or body.isspace()
-            or body.encode("ascii").translate(None, _PLAIN_SERIES_BYTES)):
+    when the line loop must decide.
+
+    The text is encoded once and `loadtxt` reads those bytes past the header,
+    so no body copy and no UCS-4 buffer is made.
+    """
+    nl = text.find("\n")
+    if nl < 0 or text[:nl].rstrip("\r") != SERIES_CSV_HEADER or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    # The header is checked, so any residue beyond its own comes from the body.
+    if (raw.translate(None, _PLAIN_SERIES_BYTES) != _HEADER_RESIDUE
+            or _NON_BLANK.search(raw, nl + 1) is None):
         return None
     try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
+                           skiprows=1)
     except ValueError:
         return None
     if table.shape[1] != 2 or not np.all(np.isfinite(table)):
@@ -185,13 +200,25 @@ def _parse_series_lines(text: str, channel_name: str) -> RawSeries:
                      np.array(values, dtype=np.float64))
 
 
-def format_series_csv(series: RawSeries) -> str:
-    """Serialize a RawSeries to the `timestamp,value` CSV format."""
-    lines = [SERIES_CSV_HEADER]
-    for ts, val in zip(series.timestamps, series.values):
-        ts_text = str(int(ts)) if float(ts).is_integer() else repr(float(ts))
-        lines.append(f"{ts_text},{float(val)!r}")
-    return "\n".join(lines) + "\n"
+# Rows formatted per write, so the text in memory is bounded by a block.
+_FORMAT_BLOCK_ROWS = 4096
+
+
+def format_series_csv(series: RawSeries, out: TextIO) -> None:
+    """Write a RawSeries to `out` in the `timestamp,value` CSV format.
+
+    Integral stamps are written as integers, others and all values by
+    `repr`, so parsing the text gives back the same doubles. Rows go out
+    in blocks of `_FORMAT_BLOCK_ROWS`, one `join` each.
+    """
+    out.write(SERIES_CSV_HEADER + "\n")
+    for lo in range(0, len(series), _FORMAT_BLOCK_ROWS):
+        hi = lo + _FORMAT_BLOCK_ROWS
+        out.write("".join([
+            f"{str(int(ts)) if ts.is_integer() else repr(ts)},{val!r}\n"
+            for ts, val in zip(series.timestamps[lo:hi].tolist(),
+                               series.values[lo:hi].tolist())
+        ]))
 
 
 def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:

@@ -3,9 +3,11 @@ never leaves a partial file behind."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator, TextIO
 
 
 def _umask() -> int:
@@ -15,19 +17,22 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to `path` via a temp file + rename in the same directory.
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Yield a UTF-8 text file that replaces `path` when the block exits.
 
-    The data is fsynced before the rename, and the file gets the mode that
-    `open()` would give a new file (0o666 less the umask), not mkstemp's 0o600.
+    The file is a temp file in the same directory. On a clean exit its data
+    is fsynced and it is renamed over `path`; on an exception it is removed
+    and `path` is left as it was. It gets the mode that `open()` would give
+    a new file (0o666 less the umask), not mkstemp's 0o600.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            fh.write(text)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -35,3 +40,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` through `atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text)

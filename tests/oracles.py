@@ -1,10 +1,13 @@
 """Serial reference ops that only the tests use: single-step LSTM backward,
-a whole sequence through the single-step cell, and inverted dropout as a
-function of the mode. The batched ops in `beamwatch.nn` are checked against
-these; they agree up to floating-point reassociation."""
+a whole sequence through the single-step cell, inverted dropout as a
+function of the mode, and the row-at-a-time series CSV writer. The batched
+ops in `beamwatch.nn` are checked against these and agree up to
+floating-point reassociation; the block writer in `beamwatch.data` must
+match the row writer byte for byte."""
 
 import numpy as np
 
+from beamwatch.data import SERIES_CSV_HEADER, RawSeries
 from beamwatch.errors import ConfigError, ShapeError
 from beamwatch.nn import LstmCellCache, LstmLayerParams, dropout_mask, lstm_cell_forward
 
@@ -81,3 +84,12 @@ def dropout_apply(
     if rng is None:
         raise ConfigError("train-mode dropout requires a seeded rng")
     return x * dropout_mask(np.shape(x), rate, rng)
+
+
+def format_series_csv(series: RawSeries) -> str:
+    """The whole series CSV as one string, built row by row."""
+    lines = [SERIES_CSV_HEADER]
+    for ts, val in zip(series.timestamps, series.values):
+        ts_text = str(int(ts)) if float(ts).is_integer() else repr(float(ts))
+        lines.append(f"{ts_text},{float(val)!r}")
+    return "\n".join(lines) + "\n"

@@ -422,6 +422,60 @@ class TestSerialization:
             ae.model_from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
 
+    @staticmethod
+    def calibrated_doc() -> dict:
+        """A TINY model document with channel stats and a threshold."""
+        stats = ChannelStats(("a", "b"), np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+        model = dataclasses.replace(ae.init_model(TINY), channel_stats=stats, threshold=0.75)
+        return json.loads(ae.model_to_json(model))
+
+    @pytest.mark.parametrize("section,field,value,expected", [
+        (None, "threshold", True, "a JSON number"),
+        (None, "threshold", "0.5", "a JSON number"),
+        ("channel_stats", "mean", [True, "2"], "a list of JSON numbers"),
+        ("channel_stats", "mean", 1.0, "a list of JSON numbers"),
+        ("channel_stats", "std", [1.0, "2"], "a list of JSON numbers"),
+        ("channel_stats", "std", [False, 1.0], "a list of JSON numbers"),
+        ("channel_stats", "channels", ["a", None], "a list of strings"),
+        ("channel_stats", "channels", "ab", "a list of strings"),
+    ])
+    def test_stats_or_threshold_of_wrong_json_type(self, section, field, value, expected):
+        doc = self.calibrated_doc()
+        (doc[section] if section else doc)[field] = value
+        name = f"{section}.{field}" if section else field
+        with pytest.raises(ParseError, match=f"{name} must be {expected}, "
+                                             f"got {re.escape(json.dumps(value))}$") as info:
+            ae.model_from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("section,field,value", [
+        (None, "threshold", 10**400),
+        ("config", "dropout_rate", 10**400),
+        ("channel_stats", "mean", [1, 10**400]),
+    ])
+    def test_number_beyond_float64_range(self, section, field, value):
+        doc = self.calibrated_doc()
+        (doc[section] if section else doc)[field] = value
+        name = f"{section}.{field}" if section else field
+        with pytest.raises(ParseError, match=f"{name} is beyond the float64 range$"):
+            ae.model_from_json(json.dumps(doc))
+
+    def test_written_stats_and_threshold_round_trip(self):
+        text = json.dumps(self.calibrated_doc())
+        loaded = ae.model_from_json(text)
+        assert loaded.channel_stats.channels == ("a", "b")
+        assert loaded.channel_stats.mean.tolist() == [0.5, -1.0]
+        assert loaded.channel_stats.std.tolist() == [2.0, 0.25]
+        assert loaded.threshold == 0.75
+        assert ae.model_to_json(loaded) == text
+        # JSON integers are numbers too, and a null threshold stays unset
+        doc = json.loads(text)
+        doc["channel_stats"]["std"] = [2, 1]
+        doc["threshold"] = None
+        loaded = ae.model_from_json(json.dumps(doc))
+        assert loaded.channel_stats.std.tolist() == [2.0, 1.0]
+        assert loaded.threshold is None
+
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
     def test_written_config_round_trips(self, dropout_rate):
         config = dataclasses.replace(TINY, dropout_rate=dropout_rate, seed=2**40)

@@ -1,8 +1,12 @@
-"""Tests for parsing, alignment, splitting, fault removal, standardization,
-and window construction, including brute-force oracles for the invariants."""
+"""Tests for parsing and writing series CSVs, alignment, splitting, fault
+removal, standardization and window construction, including brute-force
+oracles for the invariants."""
 
+import io
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +17,23 @@ from beamwatch import data
 from beamwatch.errors import (BeamwatchError, ConfigError, DataError, OrderError,
                               ParseError, ShapeError)
 from beamwatch.faults import FaultEvent
+
+import oracles
+
+
+def csv_text(series):
+    out = io.StringIO()
+    data.format_series_csv(series, out)
+    return out.getvalue()
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def frame_of(timestamps, values, channels=None):
@@ -49,7 +70,7 @@ class TestParseSeriesCsv:
 
     def test_series_csv_round_trip(self):
         s = data.parse_series_csv("timestamp,value\n0,1.5\n2.5,3.25\n")
-        again = data.parse_series_csv(data.format_series_csv(s))
+        again = data.parse_series_csv(csv_text(s))
         assert np.array_equal(again.timestamps, s.timestamps)
         assert np.array_equal(again.values, s.values)
 
@@ -160,7 +181,7 @@ class TestParseSeriesBulk:
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         series = data.RawSeries("ch", np.arange(len(values)) * 0.25, values)
-        text = data.format_series_csv(series)
+        text = csv_text(series)
         assert parse_outcome(data.parse_series_csv, text) == \
             parse_outcome(data._parse_series_lines, text)
 
@@ -169,6 +190,81 @@ class TestParseSeriesBulk:
         want = parse_outcome(data.parse_series_csv, text)
         monkeypatch.setattr(data, "_parse_series_lines", None)
         assert parse_outcome(data.parse_series_csv, text) == want
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,value\r\r\n0,1\n1,2\n",
+        "timestamp,value\r\n\r\n0,1\n",
+        "timestamp,value\n\n\n",
+        "timestamp,value\n \t\r\n",
+        "timestamp,valuee\n0,1\n",
+        "timestamp,value,\n0,1\n",
+        "timestamp,value\r0,1\n1,2\n",
+        "timestamp,value\n0,1\nvalue\n",
+    ])
+    def test_header_and_blank_body_variants_same_outcome(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+            got = parse_outcome(data.parse_series_csv, text)
+        assert got == parse_outcome(data._parse_series_lines, text)
+
+    def test_parse_memory_bounded_by_text(self, rng):
+        n = 100_000
+        series = data.RawSeries("ch", np.arange(n, dtype=np.float64) + 1.6e9,
+                                rng.standard_normal(n))
+        text = csv_text(series)
+        parsed, peak = traced_peak(lambda: data.parse_series_csv(text, "ch"))
+        assert np.array_equal(parsed.values, series.values)
+        assert peak < 3.5 * len(text), peak / len(text)
+
+
+B = data._FORMAT_BLOCK_ROWS
+F8_MAX = np.finfo(np.float64).max
+# -0.0, subnormals and +-max, besides arbitrary finite doubles
+F8_EDGES = [0.0, -0.0, 5e-324, -2.5e-310, F8_MAX, -F8_MAX]
+
+
+@st.composite
+def format_cases(draw):
+    """A RawSeries whose length sits around the block size, with stamps on an
+    integer, fractional, subnormal or huge grid (1e296 steps reach 8e299,
+    where str(int(t)) runs to 300 digits) and values over the whole double
+    range."""
+    n = draw(st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]) | st.integers(0, 40))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.375, 3.0, 2.5e-310, 1e296]))
+    shift = draw(st.integers(0, n))
+    jitter = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.1, 0.49]), min_size=1, max_size=7))
+    ts = (np.arange(n) - shift) * scale + scale * np.resize(jitter, n)
+    if draw(st.booleans()):
+        ts[ts == 0.0] = -0.0
+    pool = draw(st.lists(finite | st.sampled_from(F8_EDGES), min_size=1, max_size=20))
+    return data.RawSeries("ch", ts, np.resize(np.array(pool, dtype=np.float64), n))
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+class TestFormatSeriesCsv:
+    """The block writer against the row-at-a-time reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(format_cases())
+    def test_equals_row_writer(self, series):
+        assert csv_text(series) == oracles.format_series_csv(series)
+
+    def test_hand_picked_rows(self):
+        series = data.RawSeries("ch", np.array([-0.0, 1.5, 1e300]),
+                                np.array([-0.0, 5e-324, -F8_MAX]))
+        assert csv_text(series) == ("timestamp,value\n0,-0.0\n1.5,5e-324\n"
+                                    f"{int(1e300)},-1.7976931348623157e+308\n")
+
+    def test_memory_bounded_by_block(self, rng):
+        n = 200_000
+        series = data.RawSeries("ch", np.arange(n, dtype=np.float64) * 0.25,
+                                rng.standard_normal(n))
+        _, peak = traced_peak(lambda: data.format_series_csv(series, _Discard()))
+        assert peak < 2_000_000, peak
 
 
 class TestAlignAndFill:

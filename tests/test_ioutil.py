@@ -1,11 +1,12 @@
-"""Tests for the atomic text writer: content, replacement and file mode."""
+"""Tests for the atomic text writer: content, encoding, replacement, file
+mode and clean-up after a failure inside the `with` block."""
 
 import os
 import stat
 
 import pytest
 
-from beamwatch.ioutil import atomic_write_text
+from beamwatch.ioutil import atomic_write_text, atomic_writer
 
 
 @pytest.fixture
@@ -38,3 +39,22 @@ def test_failed_write_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_text(path, None)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_writes_utf8(tmp_path):
+    path = tmp_path / "report.txt"
+    atomic_write_text(path, "lead 5 \u00b5s\n")
+    assert path.read_bytes() == "lead 5 \u00b5s\n".encode("utf-8")
+
+
+def test_exception_after_partial_writes_keeps_old_target(tmp_path):
+    path = tmp_path / "wiresum.csv"
+    atomic_write_text(path, "old\n")
+    with pytest.raises(RuntimeError, match="stopped"):
+        with atomic_writer(path) as fh:
+            for _ in range(100):
+                fh.write("timestamp,value\n" * 1000)
+            fh.flush()
+            raise RuntimeError("stopped mid-file")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["wiresum.csv"]

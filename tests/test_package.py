@@ -1,6 +1,7 @@
 """Importing the package: it loads no numpy and defaults the BLAS thread
 count to one without overriding a value already set. Each check runs in a
-fresh interpreter, since the test process has numpy loaded already."""
+fresh interpreter, since the test process has numpy loaded already. A tiny
+CLI run checks that every file is opened with an explicit encoding."""
 
 import json
 import os
@@ -46,3 +47,29 @@ def test_import_keeps_a_preset_value():
     result = probe(OMP_NUM_THREADS="3")
     assert result["after"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
                                "MKL_NUM_THREADS": "1"}
+
+
+TINY_RUN = """
+synth_duration = 300
+synth_n_faults = 1
+window_k = 5
+hidden_dim = 4
+epochs = 1
+"""
+
+
+def test_cli_opens_every_file_with_an_encoding(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    cli = "import sys; from beamwatch.cli import main; sys.exit(main(sys.argv[1:]))"
+    load = "import sys; from beamwatch.autoencoder import load_model; load_model(sys.argv[1])"
+    runs = [[cli, command, "--config", str(cfg)]
+            for command in ("synth", "train", "detect", "eval")]
+    runs.append([load, str(tmp_path / "model.json")])
+    for code, *args in runs:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (args, proc.stderr)
+    assert (tmp_path / "out" / "eval_report.json").is_file()
