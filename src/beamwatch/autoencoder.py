@@ -29,7 +29,7 @@ from . import nn
 from .data import ChannelStats
 from .errors import (BeamwatchError, ConfigError, DataError, NumericError, ParseError,
                      ShapeError, VersionError)
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_input
 
 SCHEMA_VERSION = 2
 
@@ -553,4 +553,5 @@ def save_model(model: ModelArtifact, destination: str | Path) -> None:
 
 
 def load_model(source: str | Path) -> ModelArtifact:
-    return model_from_json(Path(source).read_text(encoding="utf-8"))
+    """Read a model file through `read_input`; its errors name the file."""
+    return read_input(source, model_from_json)

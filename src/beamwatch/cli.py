@@ -18,47 +18,49 @@ from . import __version__
 from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
-from .errors import BeamwatchError, ConfigError, DataError, ParseError
-from .ioutil import atomic_write_text, atomic_writer
-
-
-def _parse_file(path, parse, *args):
-    """Read and parse one input file; an error in its content names the file."""
-    try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    except BeamwatchError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+from .errors import BeamwatchError, ConfigError, DataError
+from .ioutil import atomic_write_text, atomic_writer, read_input
 
 
 def _read_series(cfg: RunConfig) -> list[data.RawSeries]:
-    return [_parse_file(p, data.parse_series_csv, Path(p).stem) for p in cfg.series_files]
+    return [read_input(p, data.parse_series_csv, Path(p).stem) for p in cfg.series_files]
 
 
-def _read_current(cfg: RunConfig) -> data.RawSeries:
+def _read_current(cfg: RunConfig) -> data.AlignedFrame:
     """Parse the beam-current file and align it to the 1 Hz grid."""
-    series = _parse_file(cfg.current_file, data.parse_series_csv,
-                         Path(cfg.current_file).stem)
-    frame = data.align_and_fill([series])
-    return data.RawSeries(series.channel_name,
-                          frame.timestamps.astype(float), frame.values[:, 0])
+    path = cfg.current_file
+    return data.align_and_fill([read_input(path, data.parse_series_csv, Path(path).stem)])
 
 
-def _ground_truth(cfg: RunConfig, current: data.RawSeries) -> list[faults.FaultEvent]:
-    lists = [_parse_file(p, faults.parse_fault_events) for p in cfg.fault_files]
-    lists.append(faults.detect_current_drops(current, cfg.current_drop_threshold))
+def _ground_truth(cfg: RunConfig, current: data.AlignedFrame) -> list[faults.FaultEvent]:
+    lists = [read_input(p, faults.parse_fault_events) for p in cfg.fault_files]
+    series = data.RawSeries(current.channels[0], current.timestamps.astype(float),
+                            current.values[:, 0])
+    lists.append(faults.detect_current_drops(series, cfg.current_drop_threshold))
     return faults.merge_event_lists(lists, cfg.coalesce_gap)
 
 
-def _autoencoder_config(cfg: RunConfig, feature_m: int) -> ae.AutoencoderConfig:
-    return ae.AutoencoderConfig(
-        window_k=cfg.window_k,
-        feature_m=feature_m,
-        hidden_dim=cfg.hidden_dim,
-        dropout_rate=cfg.dropout_rate,
-        seed=cfg.model_seed,
-    )
+def _test_split(frame: data.AlignedFrame, train_fraction: float) -> data.AlignedFrame:
+    """The rows after the train split: what `detect` flags and `eval` scores."""
+    _, test = data.chronological_split(frame, train_fraction)
+    if test.n_rows == 0:
+        raise DataError("test split is empty; lower train_fraction")
+    return test
+
+
+def _text_value(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text_value, value)) + "]"
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+def _write_report(out: Path, name: str, title: str, doc: dict) -> None:
+    """Write `doc` to `<name>.json` and, one `key: value` line per key in
+    the same order (floats at 6 decimals), to `<name>.txt`."""
+    atomic_write_text(out / f"{name}.json", json.dumps(doc, indent=1) + "\n")
+    lines = [title, "-" * len(title)]
+    lines += [f"{key}: {_text_value(value)}" for key, value in doc.items()]
+    atomic_write_text(out / f"{name}.txt", "\n".join(lines) + "\n")
 
 
 def cmd_synth(cfg: RunConfig) -> None:
@@ -95,7 +97,9 @@ def cmd_train(cfg: RunConfig) -> None:
     standardized = data.standardize(clean, stats)
     ws = data.make_windows(standardized, cfg.window_k)
 
-    model = ae.init_model(_autoencoder_config(cfg, len(series)))
+    model = ae.init_model(ae.AutoencoderConfig(
+        window_k=cfg.window_k, feature_m=len(series), hidden_dim=cfg.hidden_dim,
+        dropout_rate=cfg.dropout_rate, seed=cfg.model_seed))
     tcfg = ae.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                           shuffle_seed=cfg.shuffle_seed)
     model, history = ae.train_epochs(model, ws.windows, tcfg)
@@ -121,28 +125,15 @@ def cmd_train(cfg: RunConfig) -> None:
         "max_training_error": max_err,
         "threshold_to_max_error_ratio": thr.value / max_err if max_err > 0 else None,
     }
-    out = Path(cfg.output_dir)
-    atomic_write_text(out / "train_report.json", json.dumps(report, indent=1) + "\n")
-    atomic_write_text(out / "train_report.txt", _train_report_text(report))
+    _write_report(Path(cfg.output_dir), "train_report", "training report", report)
     final = history[-1] if history else float("nan")
     print(f"train: {len(ws)} windows, final epoch loss {final:.6f}, "
           f"threshold {thr.value:.6f} -> {cfg.model_file}")
 
 
-def _train_report_text(report: dict) -> str:
-    lines = ["training report", "---------------"]
-    for key in ("n_train_rows", "n_rows_after_removal", "n_windows", "epochs",
-                "threshold_mean", "threshold_std", "threshold_multiplier",
-                "threshold", "max_training_error", "threshold_to_max_error_ratio"):
-        lines.append(f"{key:>30}: {report[key]}")
-    lines.append(f"{'loss_history':>30}: " +
-                 ", ".join(f"{x:.6f}" for x in report["loss_history"]))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_detect(cfg: RunConfig) -> None:
     """Apply a trained model to the untouched test split and flag anomalies."""
-    model = _parse_file(cfg.model_file, ae.model_from_json)
+    model = ae.load_model(cfg.model_file)
     if model.channel_stats is None or model.threshold is None:
         raise ConfigError(f"model {cfg.model_file} is not calibrated "
                           "(missing channel stats or threshold)")
@@ -152,10 +143,7 @@ def cmd_detect(cfg: RunConfig) -> None:
             f"model was trained on {model.config.feature_m} channels but "
             f"config names {len(series)} series files"
         )
-    frame = data.align_and_fill(series)
-    _, test_frame = data.chronological_split(frame, cfg.train_fraction)
-    if test_frame.n_rows == 0:
-        raise DataError("test split is empty; lower train_fraction")
+    test_frame = _test_split(data.align_and_fill(series), cfg.train_fraction)
     standardized = data.standardize(test_frame, model.channel_stats)
     ws = data.make_windows(standardized, model.config.window_k)
 
@@ -173,16 +161,12 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 def cmd_eval(cfg: RunConfig) -> None:
     """Score the anomaly CSV against ground truth over the test span."""
-    anomalies = _parse_file(Path(cfg.output_dir) / "anomalies.csv",
-                            detect.parse_anomaly_csv)
+    out = Path(cfg.output_dir)
+    anomalies = read_input(out / "anomalies.csv", detect.parse_anomaly_csv)
     current = _read_current(cfg)
     truth = _ground_truth(cfg, current)
-
-    n = len(current)
-    n_train = int(cfg.train_fraction * n)
-    if n_train >= n:
-        raise DataError("test split is empty; lower train_fraction")
-    span = (int(current.timestamps[n_train]), int(current.timestamps[-1]))
+    test = _test_split(current, cfg.train_fraction)
+    span = (int(test.timestamps[0]), int(test.timestamps[-1]))
     clipped = [
         replace(f, start=max(f.start, span[0]), end=min(f.end, span[1]))
         for f in truth
@@ -207,22 +191,9 @@ def cmd_eval(cfg: RunConfig) -> None:
         "f1": report.f1,
         "matched_faults": [[f.start, f.end] for f in report.matched_faults],
     }
-    out = Path(cfg.output_dir)
-    atomic_write_text(out / "eval_report.json", json.dumps(doc, indent=1) + "\n")
-    atomic_write_text(out / "eval_report.txt", _eval_report_text(doc))
+    _write_report(out, "eval_report", "evaluation report", doc)
     print(f"eval: precision {report.precision:.3f} recall {report.recall:.3f} "
           f"accuracy {report.accuracy:.3f} f1 {report.f1:.3f}")
-
-
-def _eval_report_text(doc: dict) -> str:
-    lines = ["evaluation report", "-----------------"]
-    for key in ("mode", "lead_window", "frame_span", "total_faults",
-                "total_anomalies", "true_positives", "false_positives",
-                "false_negatives", "matched_anomalies"):
-        lines.append(f"{key:>20}: {doc[key]}")
-    for key in ("precision", "recall", "accuracy", "f1"):
-        lines.append(f"{key:>20}: {doc[key]:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 _COMMANDS = {

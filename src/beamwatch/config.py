@@ -8,11 +8,12 @@ resolved against the directory containing the config file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .detect import SCORING_MODES
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
+from .ioutil import read_input
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,36 @@ class RunConfig:
             raise ConfigError("fault_files must name at least one file")
 
 
-def _convert(key: str, value: str, target_type):
-    value = value.strip()
+def _typed(raw: dict[str, str]) -> dict:
+    """Convert `key = value` strings to the RunConfig field types."""
+    types = {f.name: f.type for f in fields(RunConfig)}
+    kwargs = {}
+    for key, value in raw.items():
+        value = value.strip()
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            if types[key] == "tuple[str, ...]":
+                kwargs[key] = tuple(p.strip() for p in value.split(",") if p.strip())
+            elif types[key] == "int":
+                kwargs[key] = int(value)
+            elif types[key] == "int | None":
+                kwargs[key] = None if value == "" else int(value)
+            elif types[key] == "float":
+                kwargs[key] = float(value)
+            else:
+                kwargs[key] = value
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
+    return kwargs
+
+
+def _with_overrides(cfg: RunConfig, overrides: dict[str, str] | None) -> RunConfig:
+    """Apply `--set` pairs to a parsed config; their errors say `--set`."""
     try:
-        if target_type == "tuple[str, ...]":
-            items = tuple(p.strip() for p in value.split(",") if p.strip())
-            return items
-        if target_type == "int":
-            return int(value)
-        if target_type == "int | None":
-            return None if value == "" else int(value)
-        if target_type == "float":
-            return float(value)
-        return value  # str
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
+        return replace(cfg, **_typed(overrides or {}))
+    except ConfigError as exc:
+        raise ConfigError(f"--set: {exc}") from None
 
 
 def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -85,39 +101,19 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         raw[key.strip()] = value.strip()
-    if overrides:
-        raw.update(overrides)
-
-    by_name = {f.name: f for f in fields(RunConfig)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in by_name:
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = _convert(key, value, by_name[key].type)
-    return RunConfig(**kwargs)
+    return _with_overrides(RunConfig(**_typed(raw)), overrides)
 
 
 def load_run_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Read a UTF-8 config file and resolve its relative paths against its
-    parent; undecodable bytes raise ParseError naming the file."""
+    """Read a config file through `read_input` (its errors name the file),
+    apply the overrides and resolve relative paths against its parent."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    cfg = parse_run_config(text, overrides)
-    base = path.parent
+    cfg = _with_overrides(read_input(path, parse_run_config), overrides)
 
     def resolve(p: str) -> str:
-        return str(base / p) if not Path(p).is_absolute() else p
+        return str(path.parent / p) if not Path(p).is_absolute() else p
 
-    return RunConfig(
-        **{
-            **{f.name: getattr(cfg, f.name) for f in fields(RunConfig)},
-            "series_files": tuple(resolve(p) for p in cfg.series_files),
-            "current_file": resolve(cfg.current_file),
-            "fault_files": tuple(resolve(p) for p in cfg.fault_files),
-            "model_file": resolve(cfg.model_file),
-            "output_dir": resolve(cfg.output_dir),
-        }
-    )
+    return replace(cfg, series_files=tuple(map(resolve, cfg.series_files)),
+                   current_file=resolve(cfg.current_file),
+                   fault_files=tuple(map(resolve, cfg.fault_files)),
+                   model_file=resolve(cfg.model_file), output_dir=resolve(cfg.output_dir))

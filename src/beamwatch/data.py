@@ -29,8 +29,8 @@ SERIES_CSV_HEADER = "timestamp,value"
 
 @dataclass(frozen=True)
 class RawSeries:
-    """One channel's raw samples: strictly increasing timestamps (epoch
-    seconds, fractions allowed) and finite values."""
+    """One channel's raw samples: finite, strictly increasing timestamps
+    (epoch seconds, fractions allowed) and finite values."""
 
     channel_name: str
     timestamps: np.ndarray
@@ -39,6 +39,8 @@ class RawSeries:
     def __post_init__(self):
         if self.timestamps.shape != self.values.shape or self.timestamps.ndim != 1:
             raise ShapeError("timestamps and values must be 1-D arrays of equal length")
+        if not np.all(np.isfinite(self.timestamps)):
+            raise DataError(f"channel {self.channel_name!r}: non-finite timestamps")
         if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
             raise OrderError(f"channel {self.channel_name!r}: timestamps not strictly increasing")
         if not np.all(np.isfinite(self.values)):

@@ -1,5 +1,6 @@
-"""Small file helpers: outputs are written atomically so a failing run
-never leaves a partial file behind."""
+"""Small file helpers: every input is read through `read_input`, so an
+error in it names the file, and every output is written atomically, so a
+failing run never leaves a partial file behind."""
 
 from __future__ import annotations
 
@@ -9,12 +10,28 @@ import tempfile
 from pathlib import Path
 from typing import Iterator, TextIO
 
+from .errors import BeamwatchError, ParseError
+
 
 def _umask() -> int:
     # The mask can only be read by setting it, so put it straight back.
     mask = os.umask(0)
     os.umask(mask)
     return mask
+
+
+def read_input(path: str | Path, parse, *args):
+    """Return `parse(text, *args)` for the UTF-8 text of `path`.
+
+    Undecodable bytes raise ParseError, and any BeamwatchError from `parse`
+    is re-raised with the path in front, so every input error names its file.
+    """
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except BeamwatchError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager

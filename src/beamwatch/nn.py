@@ -144,11 +144,6 @@ class LstmCellCache(NamedTuple):
     c: np.ndarray
 
 
-def _gate_slices(hidden_dim: int) -> tuple[slice, slice, slice, slice]:
-    h = hidden_dim
-    return slice(0, h), slice(h, 2 * h), slice(2 * h, 3 * h), slice(3 * h, 4 * h)
-
-
 def lstm_cell_forward(
     x_t: np.ndarray,
     h_prev: np.ndarray,
@@ -169,11 +164,8 @@ def lstm_cell_forward(
         raise ShapeError("h_prev/c_prev shape does not match hidden_dim")
 
     z = params.input_kernel @ x_t + params.recurrent_kernel @ h_prev + params.bias
-    si, sf, sg, so = _gate_slices(params.hidden_dim)
-    i = sigmoid(z[si])
-    f = sigmoid(z[sf])
-    g = np.tanh(z[sg])
-    o = sigmoid(z[so])
+    i, f, g, o = _gate_blocks(z, params.hidden_dim)
+    i, f, g, o = sigmoid(i), sigmoid(f), np.tanh(g), sigmoid(o)
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c, LstmCellCache(x_t, h_prev, c_prev, i, f, g, o, c)

@@ -368,6 +368,12 @@ class TestSerialization:
         with pytest.raises(VersionError):
             ae.load_model(path)
 
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(ae.model_to_json(ae.init_model(TINY)).encode() + b"\xff")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            ae.load_model(path)
+
     def test_truncated_document(self, tmp_path):
         model = ae.init_model(TINY)
         text = ae.model_to_json(model)

@@ -107,6 +107,17 @@ class TestPipeline:
         assert len(anomalies.splitlines()) > 1
         assert (out / "anomaly_events.csv").exists()
 
+    @pytest.mark.parametrize("name, title", [("train_report", "training report"),
+                                             ("eval_report", "evaluation report")])
+    def test_text_report_mirrors_json(self, pipeline_dir, name, title):
+        doc = json.loads((pipeline_dir / "out" / f"{name}.json").read_text())
+        lines = (pipeline_dir / "out" / f"{name}.txt").read_text().splitlines()
+        assert lines[:2] == [title, "-" * len(title)]
+        assert [line.split(": ", 1)[0] for line in lines[2:]] == list(doc)
+        for line, (key, value) in zip(lines[2:], doc.items()):
+            if isinstance(value, float):
+                assert line == f"{key}: {value:.6f}"
+
     def test_eval_report(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "out" / "eval_report.json").read_text())
         for key in ("precision", "recall", "accuracy", "f1"):
@@ -235,13 +246,42 @@ class TestEvalScenario:
         assert doc["recall"] == 0.0
         assert doc["false_positives"] == 1
 
+    @pytest.mark.parametrize("fraction, message", [
+        ("0", "train_fraction must be in (0, 1], got 0.0"),
+        ("-0.5", "train_fraction must be in (0, 1], got -0.5"),
+        ("1.5", "train_fraction must be in (0, 1], got 1.5"),
+        ("1", "test split is empty; lower train_fraction"),
+    ])
+    def test_eval_split_guard_matches_detect(self, pipeline_dir, capsys, fraction, message):
+        errors = []
+        for command in ("detect", "eval"):
+            code = main([command, "--config", str(pipeline_dir / "run.cfg"),
+                         "--set", f"train_fraction={fraction}"])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {message}\n"] * 2
+
+    @pytest.mark.parametrize("pair, message", [
+        ("no_such_key=1", "--set: unknown config key 'no_such_key'"),
+        ("window_k=thirty", "--set: config key 'window_k': cannot parse 'thirty'"),
+        ("scoring_mode=magic", "--set: scoring_mode must be one of"),
+    ], ids=["unknown", "value", "invalid"])
+    def test_set_errors_say_set(self, tmp_path, capsys, pair, message):
+        (tmp_path / "run.cfg").write_text("epochs = 1\n")
+        assert main(["train", "--config", str(tmp_path / "run.cfg"), "--set", pair]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command, name, text, where", [
         ("eval", "out/anomalies.csv", "timestamp,error\n5,x\n",
          "line 2: malformed number in '5,x'"),
         ("eval", "current.csv", "timestamp,value\n0,90.0\n1,9O.0\n", "line 3: malformed number"),
         ("eval", "faults.csv", "start\n150\nsoon\n", "line 3: malformed timestamp"),
         ("train", "wiresum.csv", "timestamp,value\n0,1.0\n0,2.0\n", "line 3: timestamp 0.0"),
-    ], ids=["anomalies", "current", "faults", "series"])
+        ("eval", "run.cfg", "epochs = 1\njust some text\n",
+         "config line 2: expected 'key = value', got 'just some text'"),
+    ], ids=["anomalies", "current", "faults", "series", "config"])
     def test_parse_error_names_the_file(self, tmp_path, capsys, command, name, text, where):
         box = tmp_path
         (box / "run.cfg").write_text("")

@@ -552,6 +552,17 @@ class TestMakeWindows:
             data.make_windows(frame, k=0)
 
 
+class TestRawSeriesValidation:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_timestamp_rejected(self, bad):
+        with pytest.raises(DataError, match="'a': non-finite timestamps"):
+            data.RawSeries("a", np.array([0.0, bad]), np.array([1.0, 2.0]))
+
+    def test_non_finite_value_message_kept(self):
+        with pytest.raises(DataError, match="^channel 'a': non-finite values$"):
+            data.RawSeries("a", np.array([0.0, 1.0]), np.array([1.0, math.inf]))
+
+
 class TestFrameValidation:
     def test_non_monotonic_rejected(self, rng):
         with pytest.raises(OrderError):

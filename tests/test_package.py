@@ -1,8 +1,10 @@
 """Importing the package: it loads no numpy and defaults the BLAS thread
 count to one without overriding a value already set. Each check runs in a
 fresh interpreter, since the test process has numpy loaded already. A tiny
-CLI run checks that every file is opened with an explicit encoding."""
+CLI run checks that every file is opened with an explicit encoding, and a
+scan of the source checks that only `ioutil` opens, reads or writes files."""
 
+import ast
 import json
 import os
 import subprocess
@@ -73,3 +75,19 @@ def test_cli_opens_every_file_with_an_encoding(tmp_path):
              "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (args, proc.stderr)
     assert (tmp_path / "out" / "eval_report.json").is_file()
+
+
+FILE_CALLS = {"open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def test_only_ioutil_touches_files():
+    # every input goes through ioutil.read_input, every output through its writer
+    calls = set()
+    for path in Path(beamwatch.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in FILE_CALLS:
+                    calls.add((path.name, name))
+    assert {("ioutil.py", "read_text"), ("ioutil.py", "fdopen")} <= calls
+    assert {module for module, _ in calls} == {"ioutil.py"}, sorted(calls)
