@@ -29,7 +29,7 @@ from . import nn
 from .data import ChannelStats
 from .errors import (BeamwatchError, ConfigError, DataError, NumericError, ParseError,
                      ShapeError, VersionError)
-from .ioutil import atomic_write_text, read_input
+from .ioutil import as_text, atomic_write_text, read_input
 
 SCHEMA_VERSION = 2
 
@@ -494,7 +494,7 @@ def model_to_json(model: ModelArtifact) -> str:
     return json.dumps(doc, allow_nan=False)
 
 
-def model_from_json(text: str) -> ModelArtifact:
+def model_from_json(text: str | bytes) -> ModelArtifact:
     """Parse a model document; schema mismatches (VersionError; a v1
     document must be retrained) and malformed or invalid content
     (ParseError: missing fields, config, threshold or channel-stats values
@@ -503,7 +503,7 @@ def model_from_json(text: str) -> ModelArtifact:
     errors name the layer) are rejected outright (no partially loaded
     model)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(as_text(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed model document: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:

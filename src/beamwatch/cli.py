@@ -9,27 +9,72 @@ text and machine-readable JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
 from .errors import BeamwatchError, ConfigError, DataError
-from .ioutil import atomic_write_text, atomic_writer, read_input
+from .ioutil import (atomic_write_bytes, atomic_write_text, atomic_writer,
+                     read_input, read_optional_bytes)
+
+
+# A parse-cache entry: this tag, the sha256 of the input bytes, the row
+# count n (uint64), then the parsed [2, n] table (stamps, then values) as
+# little-endian float64.
+_CACHE_TAG = b"bwseries"
+_CACHE_HEADER = len(_CACHE_TAG) + 32 + 8
+
+
+def _cached_table(entry: bytes | None, digest: bytes) -> np.ndarray | None:
+    """The [2, n] table of a cache entry made from the input bytes with this
+    `digest`, or None when the entry is missing, foreign or cut short."""
+    if entry is None or len(entry) < _CACHE_HEADER or not entry.startswith(_CACHE_TAG + digest):
+        return None
+    n = int.from_bytes(entry[_CACHE_HEADER - 8:_CACHE_HEADER], "little")
+    if len(entry) != _CACHE_HEADER + 16 * n:
+        return None
+    return np.frombuffer(entry, dtype="<f8", offset=_CACHE_HEADER).reshape(2, n)
+
+
+def _parse_cached(raw: bytes, entry_path: Path, name: str) -> data.RawSeries:
+    """The series in `raw`: built from its cache entry on a hit, else parsed
+    and, once it is known to be valid, written to the entry."""
+    digest = hashlib.sha256(raw).digest()
+    table = _cached_table(read_optional_bytes(entry_path), digest)
+    if table is not None:
+        # RawSeries checks the table again; an entry that fails is a miss.
+        with contextlib.suppress(BeamwatchError):
+            return data.RawSeries(name, table[0], table[1])
+    series = data.parse_series_csv(raw, name)
+    atomic_write_bytes(entry_path, _CACHE_TAG, digest, len(series).to_bytes(8, "little"),
+                       np.ascontiguousarray(series.timestamps, dtype="<f8"),
+                       np.ascontiguousarray(series.values, dtype="<f8"))
+    return series
+
+
+def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
+    """Read one series file, named after its stem, through the parse cache
+    in `<output_dir>/.series_cache/<stem>`."""
+    name = Path(path).stem
+    return read_input(path, _parse_cached, Path(cfg.output_dir) / ".series_cache" / name, name)
 
 
 def _read_series(cfg: RunConfig) -> list[data.RawSeries]:
-    return [read_input(p, data.parse_series_csv, Path(p).stem) for p in cfg.series_files]
+    return [_read_series_file(p, cfg) for p in cfg.series_files]
 
 
 def _read_current(cfg: RunConfig) -> data.AlignedFrame:
     """Parse the beam-current file and align it to the 1 Hz grid."""
-    path = cfg.current_file
-    return data.align_and_fill([read_input(path, data.parse_series_csv, Path(path).stem)])
+    return data.align_and_fill([_read_series_file(cfg.current_file, cfg)])
 
 
 def _ground_truth(cfg: RunConfig, current: data.AlignedFrame) -> list[faults.FaultEvent]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .detect import SCORING_MODES
 from .errors import ConfigError
-from .ioutil import read_input
+from .ioutil import as_text, read_input
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,10 @@ def _with_overrides(cfg: RunConfig, overrides: dict[str, str] | None) -> RunConf
         raise ConfigError(f"--set: {exc}") from None
 
 
-def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+def parse_run_config(text: str | bytes, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse `key = value` lines (# comments allowed) into a RunConfig."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(as_text(text).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

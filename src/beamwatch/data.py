@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, DataError, OrderError, ParseError, ShapeError
+from .ioutil import as_text
 
 if TYPE_CHECKING:
     from .faults import FaultEvent
@@ -118,8 +119,9 @@ class WindowSet:
         return self.windows.shape[0]
 
 
-def parse_series_csv(text: str, channel_name: str = "series") -> RawSeries:
-    """Parse a `timestamp,value` CSV into a RawSeries.
+def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeries:
+    """Parse a `timestamp,value` CSV, given as text or as UTF-8 bytes, into
+    a RawSeries.
 
     Numbers use Python `float` syntax, blank lines are skipped and any line
     ending is accepted. Timestamps must be strictly increasing; any malformed
@@ -130,34 +132,39 @@ def parse_series_csv(text: str, channel_name: str = "series") -> RawSeries:
     text, and every invalid file, goes through the line loop, which decides
     acceptance and names the offending line; both give bitwise equal arrays.
     """
-    table = _parse_plain_series(text)
+    if isinstance(text, bytes):
+        raw = text
+    else:
+        raw = text.encode("ascii") if text.isascii() else None
+    table = None if raw is None else _parse_plain_series(raw)
     if table is None:
-        return _parse_series_lines(text, channel_name)
+        return _parse_series_lines(as_text(text), channel_name)
     return RawSeries(channel_name, table[0], table[1])
 
 
 # Bytes a series body may hold for the one-pass parse. Left out: characters
 # that str.splitlines() breaks lines on but np.loadtxt strips as blanks
-# (\v, \f, \x1c-\x1e), digit underscores, and the inf/nan words.
+# (\v, \f, \x1c-\x1e), digit underscores, the inf/nan words and every
+# non-ASCII byte.
 _PLAIN_SERIES_BYTES = b"0123456789.,+-eE \t\r\n"
 
 
+_HEADER = SERIES_CSV_HEADER.encode("ascii")
 # What the header leaves when the plain bytes are deleted from it.
-_HEADER_RESIDUE = SERIES_CSV_HEADER.encode("ascii").translate(None, _PLAIN_SERIES_BYTES)
+_HEADER_RESIDUE = _HEADER.translate(None, _PLAIN_SERIES_BYTES)
 _NON_BLANK = re.compile(rb"[^ \t\r\n]")
 
 
-def _parse_plain_series(text: str) -> np.ndarray | None:
+def _parse_plain_series(raw: bytes) -> np.ndarray | None:
     """Timestamps and values ([2, n]) of a plain, valid series CSV, or None
     when the line loop must decide.
 
-    The text is encoded once and `loadtxt` reads those bytes past the header,
-    so no body copy and no UCS-4 buffer is made.
+    `loadtxt` reads the bytes themselves past the header, so no decoded
+    text, body copy or UCS-4 buffer is made.
     """
-    nl = text.find("\n")
-    if nl < 0 or text[:nl].rstrip("\r") != SERIES_CSV_HEADER or not text.isascii():
+    nl = raw.find(b"\n")
+    if nl < 0 or raw[:nl].rstrip(b"\r") != _HEADER:
         return None
-    raw = text.encode("ascii")
     # The header is checked, so any residue beyond its own comes from the body.
     if (raw.translate(None, _PLAIN_SERIES_BYTES) != _HEADER_RESIDUE
             or _NON_BLANK.search(raw, nl + 1) is None):
@@ -242,10 +249,16 @@ def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:
     end = min(math.ceil(float(s.timestamps[-1])) for s in series)
     if start > end:
         raise DataError("channel supports do not overlap")
+    n = end - start + 1
     grid = np.arange(start, end + 1, dtype=np.int64)
     cols = []
     for s in series:
-        idx = np.searchsorted(s.timestamps, grid, side="right") - 1
+        # For an integer second g, ts <= g exactly when ceil(ts) <= g, so the
+        # number of samples at or before grid cell j is a running count of
+        # ceil(ts) - start (stamps before the grid land in cell 0, after it
+        # in the dropped cell n); that count less one is the fill index.
+        cells = np.clip(np.ceil(s.timestamps) - start, 0, n).astype(np.intp)
+        idx = np.cumsum(np.bincount(cells, minlength=n + 1)[:n]) - 1
         cols.append(s.values[idx])
     return AlignedFrame(tuple(names), grid, np.column_stack(cols))
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, OrderError, ParseError, ShapeError
 from .faults import FaultEvent
+from .ioutil import as_text
 
 SCORING_MODES = ("lead_only", "lead_plus_duration")
 
@@ -252,12 +253,12 @@ def score_detections(anomalies: Sequence[AnomalyPoint] | Sequence[AnomalyEvent],
 
 def format_anomaly_csv(points: Iterable[AnomalyPoint]) -> str:
     lines = [ANOMALY_CSV_HEADER]
-    lines += [f"{p.timestamp},{p.error!r}" for p in points]
+    lines += [f"{p.timestamp},{float(p.error)!r}" for p in points]
     return "\n".join(lines) + "\n"
 
 
-def parse_anomaly_csv(text: str) -> list[AnomalyPoint]:
-    lines = text.splitlines()
+def parse_anomaly_csv(text: str | bytes) -> list[AnomalyPoint]:
+    lines = as_text(text).splitlines()
     if not lines or lines[0].strip() != ANOMALY_CSV_HEADER:
         raise ParseError(f"line 1: expected header {ANOMALY_CSV_HEADER!r}")
     points: list[AnomalyPoint] = []
@@ -280,5 +281,5 @@ def parse_anomaly_csv(text: str) -> list[AnomalyPoint]:
 
 def format_event_csv(events: Iterable[AnomalyEvent]) -> str:
     lines = [EVENT_CSV_HEADER]
-    lines += [f"{e.start},{e.end},{e.peak_error!r}" for e in events]
+    lines += [f"{e.start},{e.end},{float(e.peak_error)!r}" for e in events]
     return "\n".join(lines) + "\n"

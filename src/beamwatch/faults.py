@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import RawSeries
 from .errors import ConfigError, DataError, ParseError, RangeError
+from .ioutil import as_text
 
 SOURCE_RECORDED = "recorded"
 SOURCE_CURRENT_DROP = "current_drop"
@@ -32,13 +33,13 @@ class FaultEvent:
             raise RangeError(f"fault end {self.end} before start {self.start}")
 
 
-def parse_fault_events(text: str) -> list[FaultEvent]:
+def parse_fault_events(text: str | bytes) -> list[FaultEvent]:
     """Parse a fault CSV with header `start[,end][,label]`.
 
     Point events (no end column) get end = start. Events with identical
     start and end are deduplicated. Output is sorted by start.
     """
-    lines = text.splitlines()
+    lines = as_text(text).splitlines()
     if not lines or lines[0].split(",")[0].strip() != "start":
         raise ParseError("line 1: expected header 'start[,end][,label]'")
     events: list[FaultEvent] = []

@@ -8,7 +8,7 @@ import contextlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator
 
 from .errors import BeamwatchError, ParseError
 
@@ -21,22 +21,37 @@ def _umask() -> int:
 
 
 def read_input(path: str | Path, parse, *args):
-    """Return `parse(text, *args)` for the UTF-8 text of `path`.
+    """Return `parse(raw, *args)` for the bytes `raw` of `path`.
 
-    Undecodable bytes raise ParseError, and any BeamwatchError from `parse`
+    A parser that needs text decodes the bytes with `as_text`, so an
+    undecodable file raises ParseError here; any BeamwatchError from `parse`
     is re-raised with the path in front, so every input error names its file.
     """
     try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        return parse(Path(path).read_bytes(), *args)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except BeamwatchError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def as_text(source: str | bytes) -> str:
+    """`source` itself, or its bytes decoded as UTF-8."""
+    return source if isinstance(source, str) else source.decode("utf-8")
+
+
+def read_optional_bytes(path: str | Path) -> bytes | None:
+    """The bytes of `path`, or None when it does not exist."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        return None
+
+
 @contextlib.contextmanager
-def atomic_writer(path: str | Path) -> Iterator[TextIO]:
-    """Yield a UTF-8 text file that replaces `path` when the block exits.
+def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Yield a UTF-8 text file (a binary one if `binary`) that replaces
+    `path` when the block exits.
 
     The file is a temp file in the same directory. On a clean exit its data
     is fsynced and it is renamed over `path`; on an exception it is removed
@@ -47,7 +62,7 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8")) as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
             yield fh
             fh.flush()
@@ -63,3 +78,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write `text` to `path` through `atomic_writer`."""
     with atomic_writer(path) as fh:
         fh.write(text)
+
+
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the bytes-like `chunks`, in order, to `path` through
+    `atomic_writer`."""
+    with atomic_writer(path, binary=True) as fh:
+        for chunk in chunks:
+            fh.write(chunk)

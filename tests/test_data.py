@@ -207,6 +207,23 @@ class TestParseSeriesBulk:
             got = parse_outcome(data.parse_series_csv, text)
         assert got == parse_outcome(data._parse_series_lines, text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(series_texts(), mangled_series_texts()))
+    def test_bytes_parse_like_text(self, text):
+        # files reach the parser as their bytes
+        assert parse_outcome(data.parse_series_csv, text.encode("utf-8")) == \
+            parse_outcome(data.parse_series_csv, text)
+
+    def test_plain_bytes_skip_line_loop(self, monkeypatch):
+        raw = b"timestamp,value\r\n0,1.5\r\n\r\n2.5,-3e-300\r\n"
+        want = parse_outcome(data.parse_series_csv, raw.decode())
+        monkeypatch.setattr(data, "_parse_series_lines", None)
+        assert parse_outcome(data.parse_series_csv, raw) == want
+
+    def test_undecodable_bytes_raise_decode_error(self):
+        with pytest.raises(UnicodeDecodeError):
+            data.parse_series_csv(b"timestamp,value\n0,1\n# \xff\n")
+
     def test_parse_memory_bounded_by_text(self, rng):
         n = 100_000
         series = data.RawSeries("ch", np.arange(n, dtype=np.float64) + 1.6e9,
@@ -265,6 +282,26 @@ class TestFormatSeriesCsv:
                                 rng.standard_normal(n))
         _, peak = traced_peak(lambda: data.format_series_csv(series, _Discard()))
         assert peak < 2_000_000, peak
+
+
+@st.composite
+def fill_channels(draw):
+    """1-3 channels of strictly increasing stamps around one base second (0,
+    negative, or about 2**40), each over its own support, with fractional
+    stamps and any finite values; sometimes one channel but the first ends
+    with a stamp far past every grid."""
+    base = draw(st.sampled_from([0, -1000, -2**40, 2**40, 1_600_000_000]))
+    frac = st.sampled_from([0.0, 0.25, 0.5, 1 - 2**-10]) | \
+        st.floats(0, 1, exclude_max=True)
+    channels = []
+    for _ in range(draw(st.integers(1, 3))):
+        seconds = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=20, unique=True))
+        ts = sorted({float(base + sec) + draw(frac) for sec in seconds})
+        channels.append(ts)
+    if len(channels) > 1 and draw(st.booleans()):
+        channels[-1].append(1e300)
+    return [(ts, draw(st.lists(finite | st.just(-0.0), min_size=len(ts), max_size=len(ts))))
+            for ts in channels]
 
 
 class TestAlignAndFill:
@@ -337,6 +374,24 @@ class TestAlignAndFill:
                 seen = [v for t, v in obs if t <= second]
                 assert seen
                 assert frame.values[row, j] == seen[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(fill_channels())
+    def test_fill_bitwise_equals_per_second_oracle(self, channels):
+        series = [data.RawSeries(f"c{j}", np.array(ts), np.array(vals))
+                  for j, (ts, vals) in enumerate(channels)]
+        start = max(math.ceil(ts[0]) for ts, _ in channels)
+        end = min(math.ceil(ts[-1]) for ts, _ in channels)
+        if start > end:
+            with pytest.raises(DataError, match="do not overlap"):
+                data.align_and_fill(series)
+            return
+        frame = data.align_and_fill(series)
+        want = np.array([[vals[max(i for i, t in enumerate(ts) if t <= second)]
+                          for ts, vals in channels]
+                         for second in range(start, end + 1)], dtype=np.float64)
+        assert frame.timestamps.tobytes() == np.arange(start, end + 1, dtype=np.int64).tobytes()
+        assert frame.values.tobytes() == want.reshape(frame.values.shape).tobytes()
 
 
 class TestChronologicalSplit:

@@ -317,3 +317,28 @@ class TestAnomalyCsv:
     def test_event_csv_format(self):
         text = detect.format_event_csv([AnomalyEvent(1, 5, 2.5)])
         assert text == "start,end,peak_error\n1,5,2.5\n"
+
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-2**62, 2**62),
+                                   st.floats(allow_nan=False, allow_infinity=False))))
+    def test_numpy_scalars_round_trip(self, rows):
+        # numpy >= 2 reprs a float64 as `np.float64(0.5)`; the writer must not
+        points = [AnomalyPoint(np.int64(t), np.float64(e)) for t, e in rows]
+        text = detect.format_anomaly_csv(points)
+        assert text == detect.format_anomaly_csv([AnomalyPoint(t, e) for t, e in rows])
+        back = detect.parse_anomaly_csv(text)
+        assert [(p.timestamp, p.error.hex()) for p in back] == \
+            [(t, float(e).hex()) for t, e in rows]
+
+    def test_numpy_scalar_rows(self):
+        assert detect.format_anomaly_csv([AnomalyPoint(3, np.float64(0.5))]) == \
+            "timestamp,error\n3,0.5\n"
+        events = [AnomalyEvent(np.int64(1), np.int64(5), np.float64(2.5)),
+                  AnomalyEvent(7, 7, np.float64(-0.0))]
+        assert detect.format_event_csv(events) == "start,end,peak_error\n1,5,2.5\n7,7,-0.0\n"
+
+    def test_parses_bytes_like_text(self):
+        text = "timestamp,error\r\n10,0.5\r\n\r\n42,1.25\n"
+        assert detect.parse_anomaly_csv(text.encode()) == detect.parse_anomaly_csv(text)
+        with pytest.raises(UnicodeDecodeError):
+            detect.parse_anomaly_csv(b"timestamp,error\n1,\xff\n")

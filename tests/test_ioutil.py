@@ -1,12 +1,17 @@
-"""Tests for the atomic text writer: content, encoding, replacement, file
-mode and clean-up after a failure inside the `with` block."""
+"""Tests for the input reader, which hands parsers bytes, and the atomic
+writers: content, encoding, replacement, file mode and clean-up after a
+failure inside the `with` block."""
 
 import os
 import stat
 
 import pytest
 
-from beamwatch.ioutil import atomic_write_text, atomic_writer
+import numpy as np
+
+from beamwatch.errors import DataError, ParseError
+from beamwatch.ioutil import (as_text, atomic_write_bytes, atomic_write_text, atomic_writer,
+                              read_input, read_optional_bytes)
 
 
 @pytest.fixture
@@ -58,3 +63,48 @@ def test_exception_after_partial_writes_keeps_old_target(tmp_path):
             raise RuntimeError("stopped mid-file")
     assert path.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["wiresum.csv"]
+
+
+def test_binary_writes_chunks_in_order_with_the_text_mode(tmp_path, umask):
+    umask(0o027)
+    path = tmp_path / "cache" / "entry"
+    table = np.array([[0.0, 1.0], [-0.0, 2.5]])
+    atomic_write_bytes(path, b"tag", memoryview(b"12"), table)
+    assert path.read_bytes() == b"tag12" + table.tobytes()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert [p.name for p in path.parent.iterdir()] == ["entry"]
+
+
+def test_failed_binary_write_keeps_old_target(tmp_path):
+    path = tmp_path / "entry"
+    atomic_write_bytes(path, b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, b"new", "not bytes")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["entry"]
+
+
+def test_read_optional_bytes(tmp_path):
+    assert read_optional_bytes(tmp_path / "missing") is None
+    (tmp_path / "there").write_bytes(b"\x00\xff")
+    assert read_optional_bytes(tmp_path / "there") == b"\x00\xff"
+
+
+def test_read_input_hands_over_the_bytes(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"a\r\nb\xc2\xb5\r")
+    assert read_input(path, lambda raw, tail: raw + tail, b"!") == b"a\r\nb\xc2\xb5\r!"
+    assert read_input(path, as_text) == "a\r\nb\u00b5\r"
+
+
+def test_read_input_names_the_file(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"ok\xff")
+    with pytest.raises(ParseError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
+        read_input(path, as_text)
+
+    def reject(raw):
+        raise DataError("no rows")
+
+    with pytest.raises(DataError, match=f"^{path}: no rows$"):
+        read_input(path, reject)

@@ -2,7 +2,8 @@
 count to one without overriding a value already set. Each check runs in a
 fresh interpreter, since the test process has numpy loaded already. A tiny
 CLI run checks that every file is opened with an explicit encoding, and a
-scan of the source checks that only `ioutil` opens, reads or writes files."""
+scan of the source checks that only `ioutil` opens, reads or writes files,
+numpy's path-taking I/O included."""
 
 import ast
 import json
@@ -77,17 +78,43 @@ def test_cli_opens_every_file_with_an_encoding(tmp_path):
     assert (tmp_path / "out" / "eval_report.json").is_file()
 
 
-FILE_CALLS = {"open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes"}
+FILE_CALLS = {"open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes",
+              "tofile"}
+# numpy's path-taking I/O; np.loadtxt is given a BytesIO, never a path
+NUMPY_FILE_CALLS = {"save", "savez", "savez_compressed", "load", "fromfile", "savetxt",
+                    "memmap"}
+
+
+def file_calls(source: str) -> set[str]:
+    """Names of the calls in `source` that can open, read or write a file;
+    numpy's as `np.<name>`, also when imported bare."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in FILE_CALLS:
+            found.add(name)
+        elif name in NUMPY_FILE_CALLS and (
+                isinstance(func, ast.Name)
+                or isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")):
+            found.add(f"np.{name}")
+    return found
+
+
+def test_file_call_scan_sees_numpy_io():
+    source = ("np.save(p, a)\nnumpy.load(p)\nnp.fromfile(p)\na.tofile(p)\n"
+              "np.savetxt(p, a)\nmemmap(p)\nnp.loadtxt(io.BytesIO(b))\n"
+              "json.loads(s)\nmodel.load(p)\nopen(p)\n")
+    assert file_calls(source) == {"np.save", "np.load", "np.fromfile", "tofile",
+                                  "np.savetxt", "np.memmap", "open"}
 
 
 def test_only_ioutil_touches_files():
     # every input goes through ioutil.read_input, every output through its writer
     calls = set()
     for path in Path(beamwatch.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name in FILE_CALLS:
-                    calls.add((path.name, name))
-    assert {("ioutil.py", "read_text"), ("ioutil.py", "fdopen")} <= calls
+        calls |= {(path.name, name) for name in file_calls(path.read_text(encoding="utf-8"))}
+    assert {("ioutil.py", "read_bytes"), ("ioutil.py", "fdopen")} <= calls
     assert {module for module, _ in calls} == {"ioutil.py"}, sorted(calls)

@@ -1,0 +1,225 @@
+"""The parse cache of series files under `<output_dir>/.series_cache`: a hit
+gives the same arrays as a parse, any change to the input or damage to the
+entry is a miss that re-parses and rewrites it, an invalid input is never
+cached, and the CLI's outputs do not depend on the cache's state."""
+
+import contextlib
+import hashlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beamwatch import cli, data
+from beamwatch.config import RunConfig
+from beamwatch.errors import BeamwatchError, OrderError, ParseError
+
+from test_data import parse_outcome, series_texts
+
+TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.5,-3e-300\n"
+
+
+def read(path: Path, out: Path) -> data.RawSeries:
+    return cli._read_series_file(str(path), RunConfig(output_dir=str(out)))
+
+
+def entry_of(path: Path, out: Path) -> Path:
+    return out / ".series_cache" / path.stem
+
+
+def arrays(s: data.RawSeries) -> tuple:
+    return s.timestamps.dtype, s.timestamps.tobytes(), s.values.dtype, s.values.tobytes()
+
+
+@contextlib.contextmanager
+def no_parse():
+    """Fail the block if it parses a series: what it reads must be a hit."""
+    with mock.patch.object(data, "parse_series_csv", side_effect=AssertionError("parsed")):
+        yield
+
+
+@pytest.fixture
+def box(tmp_path):
+    path = tmp_path / "wiresum.csv"
+    path.write_text(TEXT)
+    return path, tmp_path / "out"
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_texts(plain=True) | series_texts(), st.booleans())
+def test_hit_bitwise_equals_miss(text, line_loop):
+    if line_loop:
+        # a header with a trailing blank is valid but never plain
+        text = text.replace(data.SERIES_CSV_HEADER, data.SERIES_CSV_HEADER + " ", 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "ch.csv", Path(tmp) / "out"
+        path.write_bytes(text.encode())
+        miss = read(path, out)
+        with no_parse():
+            hit = read(path, out)
+    want = parse_outcome(data.parse_series_csv, text)
+    assert arrays(miss) == arrays(hit) == want
+    assert hit.channel_name == miss.channel_name == "ch"
+
+
+def test_entry_layout(box):
+    path, out = box
+    series = read(path, out)
+    entry = entry_of(path, out).read_bytes()
+    assert entry[:8] == cli._CACHE_TAG
+    assert entry[8:40] == hashlib.sha256(TEXT.encode()).digest()
+    assert int.from_bytes(entry[40:48], "little") == 3
+    assert entry[48:] == np.stack([series.timestamps, series.values]).astype("<f8").tobytes()
+
+
+def test_hit_arrays_are_read_only_views(box):
+    path, out = box
+    read(path, out)
+    with no_parse():
+        hit = read(path, out)
+    assert not hit.timestamps.flags.writeable and not hit.values.flags.writeable
+    # every stage after the read copies what it keeps
+    frame = data.align_and_fill([hit])
+    assert frame.values.flags.writeable
+    assert frame.values[:, 0].tolist() == [1.5, 2.5, 2.5, -3e-300]
+
+
+def test_one_changed_byte_reparses(box):
+    path, out = box
+    read(path, out)
+    before = entry_of(path, out).read_bytes()
+    path.write_text(TEXT.replace("2.5,-3e-300", "2.5,-4e-300"))
+    series = read(path, out)
+    assert series.values[-1] == -4e-300
+    after = entry_of(path, out).read_bytes()
+    assert after != before and after[40:] != before[40:]
+    with no_parse():
+        assert read(path, out).values[-1] == -4e-300
+
+
+def _flip(b: bytes, at: int) -> bytes:
+    return b[:at] + bytes([b[at] ^ 1]) + b[at + 1:]
+
+
+def _payload(b: bytes, row: int, column: int, value: float) -> bytes:
+    n = int.from_bytes(b[40:48], "little")
+    at = 48 + 8 * (column * n + row)
+    return b[:at] + np.float64(value).astype("<f8").tobytes() + b[at + 8:]
+
+
+DAMAGE = {
+    "empty": lambda b: b"",
+    "short": lambda b: b[:20],
+    "header only": lambda b: b[:48],
+    "truncated byte": lambda b: b[:-1],
+    "truncated row": lambda b: b[:-16],
+    "extra bytes": lambda b: b + b"\0" * 16,
+    "garbage": lambda b: b"timestamp,value\n" * 8,
+    "foreign tag": lambda b: _flip(b, 0),
+    "foreign digest": lambda b: _flip(b, 20),
+    "row count": lambda b: _flip(b, 40),
+    "nan value": lambda b: _payload(b, 1, 1, np.nan),
+    "unordered stamps": lambda b: _payload(b, 2, 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE)
+def test_damaged_entry_is_a_miss_and_rewritten(box, damage):
+    path, out = box
+    good = arrays(read(path, out))
+    entry = entry_of(path, out)
+    intact = entry.read_bytes()
+    entry.write_bytes(damage(intact))
+    assert arrays(read(path, out)) == good
+    assert entry.read_bytes() == intact
+
+
+def test_deleted_cache_is_rebuilt(box):
+    path, out = box
+    read(path, out)
+    intact = entry_of(path, out).read_bytes()
+    shutil.rmtree(out / ".series_cache")
+    read(path, out)
+    assert entry_of(path, out).read_bytes() == intact
+
+
+def test_same_stem_files_evict_each_other_but_stay_correct(tmp_path):
+    out = tmp_path / "out"
+    a, b = tmp_path / "a" / "ch.csv", tmp_path / "b" / "ch.csv"
+    for path, value in ((a, "1"), (b, "2")):
+        path.parent.mkdir()
+        path.write_text(f"timestamp,value\n0,{value}\n")
+    for path, value in ((a, 1.0), (b, 2.0), (a, 1.0), (b, 2.0)):
+        assert read(path, out).values.tolist() == [value]
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("timestamp,value\n0,1\n1,9O.0\n", ParseError, "line 3: malformed number"),
+    ("timestamp,value\n0,1.0\n0,2.0\n", OrderError, "line 3: timestamp 0.0"),
+    ("time,value\n0,1\n", ParseError, "line 1: expected header"),
+])
+def test_invalid_input_is_never_cached(box, text, error, message):
+    path, out = box
+    path.write_text(text)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            read(path, out)
+        errors.append(str(info.value))
+        assert not entry_of(path, out).exists()
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{path}: {message}")
+
+
+def test_invalid_input_keeps_the_entry_of_an_earlier_valid_one(box):
+    path, out = box
+    read(path, out)
+    intact = entry_of(path, out).read_bytes()
+    path.write_text(TEXT + "1,2\n")
+    with pytest.raises(BeamwatchError):
+        read(path, out)
+    assert entry_of(path, out).read_bytes() == intact
+
+
+SMALL = """
+synth_duration = 600
+synth_n_faults = 2
+synth_seed = 11
+window_k = 5
+hidden_dim = 4
+epochs = 1
+merge_max_gap = 3
+"""
+OUTPUTS = ("model.json", "out/train_report.json", "out/train_report.txt",
+           "out/anomalies.csv", "out/anomaly_events.csv", "out/eval_report.json",
+           "out/eval_report.txt")
+
+
+def _run_stages(root: Path) -> tuple[dict, list[str]]:
+    printed = []
+    for command in ("train", "detect", "eval"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([command, "--config", str(root / "run.cfg")]) == 0
+        printed.append(stdout.getvalue())
+    return {name: (root / name).read_bytes() for name in OUTPUTS}, printed
+
+
+def test_cli_outputs_do_not_depend_on_the_cache(tmp_path):
+    (tmp_path / "run.cfg").write_text(SMALL)
+    assert cli.main(["synth", "--config", str(tmp_path / "run.cfg")]) == 0
+    cache = tmp_path / "out" / ".series_cache"
+    cold = _run_stages(tmp_path)
+    assert sorted(p.name for p in cache.iterdir()) == ["current", "wiresum", "xpos", "ypos"]
+    with no_parse():
+        warm = _run_stages(tmp_path)
+    shutil.rmtree(cache)
+    deleted = _run_stages(tmp_path)
+    # the same bytes and the same stdout, which never mentions the cache
+    assert cold == warm == deleted
