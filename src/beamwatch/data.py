@@ -6,14 +6,15 @@ standardized with training-set statistics, and cut into stride-1 sliding
 windows: rows s..s+k-1 form a window exactly when ts[s+k-1] - ts[s] == k-1,
 so none crosses a gap left by removed or missing seconds. Series CSVs are
 the only text format here, written to an open file a block of rows at a
-time; aligned frames live in memory only.
+time; aligned frames live in memory only. `plain_csv_table` is the one-pass
+reader of plain CSV bytes that the series and anomaly parsers share.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import re
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
@@ -132,53 +133,55 @@ def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeri
     text, and every invalid file, goes through the line loop, which decides
     acceptance and names the offending line; both give bitwise equal arrays.
     """
-    if isinstance(text, bytes):
-        raw = text
-    else:
-        raw = text.encode("ascii") if text.isascii() else None
-    table = None if raw is None else _parse_plain_series(raw)
-    if table is None:
-        return _parse_series_lines(as_text(text), channel_name)
-    return RawSeries(channel_name, table[0], table[1])
+    table = plain_csv_table(text, SERIES_CSV_HEADER, _SERIES_DTYPE)
+    if table is not None:
+        ts, values = table["timestamp"], table["value"]
+        if (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))
+                and (len(ts) < 2 or np.all(np.diff(ts) > 0))):
+            return RawSeries(channel_name, np.ascontiguousarray(ts),
+                             np.ascontiguousarray(values))
+    return _parse_series_lines(as_text(text), channel_name)
 
 
-# Bytes a series body may hold for the one-pass parse. Left out: characters
+_SERIES_DTYPE = np.dtype([("timestamp", "<f8"), ("value", "<f8")])
+
+# Bytes a CSV body may hold for the one-pass parse. Left out: characters
 # that str.splitlines() breaks lines on but np.loadtxt strips as blanks
 # (\v, \f, \x1c-\x1e), digit underscores, the inf/nan words and every
 # non-ASCII byte.
-_PLAIN_SERIES_BYTES = b"0123456789.,+-eE \t\r\n"
+_PLAIN_CSV_BYTES = b"0123456789.,+-eE \t\r\n"
 
 
-_HEADER = SERIES_CSV_HEADER.encode("ascii")
-# What the header leaves when the plain bytes are deleted from it.
-_HEADER_RESIDUE = _HEADER.translate(None, _PLAIN_SERIES_BYTES)
-_NON_BLANK = re.compile(rb"[^ \t\r\n]")
+def plain_csv_table(source: str | bytes, header: str, dtype: np.dtype) -> np.ndarray | None:
+    """The rows of a plain CSV as one structured array of `dtype`, one
+    field per column, or None when the caller's line loop must decide.
 
-
-def _parse_plain_series(raw: bytes) -> np.ndarray | None:
-    """Timestamps and values ([2, n]) of a plain, valid series CSV, or None
-    when the line loop must decide.
-
-    `loadtxt` reads the bytes themselves past the header, so no decoded
-    text, body copy or UCS-4 buffer is made.
+    A plain CSV starts with the line `header` and holds nothing but
+    `_PLAIN_CSV_BYTES` after it. `loadtxt` reads its bytes past the header
+    in one pass, with no decoded text, body copy or UCS-4 buffer. A wrong
+    field count, a number that does not parse as its field's type (an int64
+    field takes no point, exponent or out-of-range value) and any warning,
+    such as the one for a body with no rows, give None, so the caller
+    checks only the values.
     """
-    nl = raw.find(b"\n")
-    if nl < 0 or raw[:nl].rstrip(b"\r") != _HEADER:
+    if isinstance(source, str):
+        if not source.isascii():
+            return None
+        source = source.encode("ascii")
+    head = header.encode("ascii")
+    nl = source.find(b"\n")
+    if nl < 0 or source[:nl].rstrip(b"\r") != head:
         return None
     # The header is checked, so any residue beyond its own comes from the body.
-    if (raw.translate(None, _PLAIN_SERIES_BYTES) != _HEADER_RESIDUE
-            or _NON_BLANK.search(raw, nl + 1) is None):
+    if source.translate(None, _PLAIN_CSV_BYTES) != head.translate(None, _PLAIN_CSV_BYTES):
         return None
     try:
-        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
-                           skiprows=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.BytesIO(source), dtype=dtype, delimiter=",",
+                              comments=None, skiprows=1, ndmin=1)
+    except (ValueError, Warning):
         return None
-    if table.shape[1] != 2 or not np.all(np.isfinite(table)):
-        return None
-    if len(table) > 1 and not np.all(np.diff(table[:, 0]) > 0):
-        return None
-    return np.ascontiguousarray(table.T)
 
 
 def _parse_series_lines(text: str, channel_name: str) -> RawSeries:

@@ -1,7 +1,9 @@
-"""Tests for threshold calibration, anomaly flagging/merging, and the
-event-matching scorer, including the independent exhaustive matcher."""
+"""Tests for threshold calibration, anomaly flagging/merging, the
+event-matching scorer, including the independent exhaustive matcher, and
+the anomaly CSV, including its one-pass parse against the line loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from beamwatch import detect
 from beamwatch.detect import AnomalyEvent, AnomalyPoint
-from beamwatch.errors import ConfigError, DataError, OrderError, ParseError, ShapeError
+from beamwatch.errors import (BeamwatchError, ConfigError, DataError, OrderError,
+                              ParseError, ShapeError)
 from beamwatch.faults import FaultEvent
 
 
@@ -175,6 +178,24 @@ def bruteforce_score(anomalies, faults, lead, mode, span):
     return tp, fp, fn, len(matched), accuracy
 
 
+def random_case(rng, trial):
+    """Random unsorted anomaly points, sorted faults, lead window, mode and
+    span for the scorer."""
+    span = (0, int(rng.integers(50, 400)))
+    n_faults = int(rng.integers(0, 21))
+    n_anoms = int(rng.integers(0, 51))
+    faults = []
+    for _ in range(n_faults):
+        s = int(rng.integers(span[0], span[1] + 1))
+        faults.append(FaultEvent(s, min(span[1], s + int(rng.integers(0, 20)))))
+    faults.sort(key=lambda f: (f.start, f.end))
+    anoms = [AnomalyPoint(int(rng.integers(span[0], span[1] + 1)),
+                          float(rng.uniform(0, 3))) for _ in range(n_anoms)]
+    lead = int(rng.integers(0, 15))
+    mode = "lead_only" if trial % 2 == 0 else "lead_plus_duration"
+    return anoms, faults, lead, mode, span
+
+
 class TestScoreDetections:
     def test_lead_window_match(self):
         report = detect.score_detections([AnomalyPoint(95, 2.0)], [FaultEvent(100, 100)],
@@ -230,18 +251,7 @@ class TestScoreDetections:
 
     def test_matches_exhaustive_matcher(self, rng):
         for trial in range(120):
-            span = (0, int(rng.integers(50, 400)))
-            n_faults = int(rng.integers(0, 21))
-            n_anoms = int(rng.integers(0, 51))
-            faults = []
-            for _ in range(n_faults):
-                s = int(rng.integers(span[0], span[1] + 1))
-                faults.append(FaultEvent(s, min(span[1], s + int(rng.integers(0, 20)))))
-            faults.sort(key=lambda f: (f.start, f.end))
-            anoms = [AnomalyPoint(int(rng.integers(span[0], span[1] + 1)),
-                                  float(rng.uniform(0, 3))) for _ in range(n_anoms)]
-            lead = int(rng.integers(0, 15))
-            mode = "lead_only" if trial % 2 == 0 else "lead_plus_duration"
+            anoms, faults, lead, mode, span = random_case(rng, trial)
             report = detect.score_detections(anoms, faults, lead, mode, span)
             tp, fp, fn, matched, acc = bruteforce_score(anoms, faults, lead, mode, span)
             assert (report.true_positives, report.false_positives,
@@ -276,6 +286,33 @@ class TestScoreDetections:
         assert report.matched_faults == tuple(
             f for f in faults if covered & set(range(f.start - lead, last(f) + 1)))
 
+    def test_table_scores_like_points(self, rng):
+        for trial in range(120):
+            anoms, faults, lead, mode, span = random_case(rng, trial)
+            table = detect.parse_anomaly_csv(detect.format_anomaly_csv(anoms))
+            assert detect.score_detections(table, faults, lead, mode, span) == \
+                detect.score_detections(anoms, faults, lead, mode, span)
+
+    def test_span_error_names_first_row_in_file_order(self):
+        table = detect.parse_anomaly_csv("timestamp,error\n5,1.0\n50,1.0\n-3,1.0\n11,1.0\n")
+        for anomalies in (table, [AnomalyPoint(int(t), float(e)) for t, e in table.tolist()]):
+            with pytest.raises(DataError, match=r"^anomaly \[50, 50\] outside frame span$"):
+                detect.score_detections(anomalies, [], frame_span=(0, 10))
+        events = [AnomalyEvent(0, 3, 1.0), AnomalyEvent(-2, 4, 1.0), AnomalyEvent(8, 12, 1.0)]
+        with pytest.raises(DataError, match=r"^anomaly \[-2, 4\] outside frame span$"):
+            detect.score_detections(events, [], frame_span=(0, 10))
+
+    def test_benchmark_counts_read_the_table(self):
+        # The benchmark counts len() of the parse result as its rows and of
+        # `anomalies` in score_detections' pairs; both must be the row count.
+        points = [AnomalyPoint(t, 0.5) for t in (3, 4, 9, 20, 21)]
+        table = detect.parse_anomaly_csv(detect.format_anomaly_csv(points))
+        assert len(table) == len(points)
+        report = detect.score_detections(table, [FaultEvent(10, 12)], 10, "lead_only", (0, 30))
+        assert report.total_anomalies == len(table)
+        assert report == detect.score_detections(points, [FaultEvent(10, 12)], 10,
+                                                 "lead_only", (0, 30))
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             detect.score_detections([], [], lead_window=-1, frame_span=(0, 1))
@@ -289,24 +326,49 @@ class TestScoreDetections:
             detect.score_detections([], [FaultEvent(50, 50)], frame_span=(0, 10))
 
 
+def anomaly_outcome(parse, text):
+    """What an anomaly parser makes of `text`: the table's dtype and bytes,
+    or the error's type and message."""
+    try:
+        table = parse(text)
+    except BeamwatchError as exc:
+        return type(exc), str(exc)
+    return table.dtype, table.tobytes()
+
+
+def columns(table):
+    """A table's stamps and its errors' bits (float.hex keeps the sign of -0.0)."""
+    return table["timestamp"].tolist(), [e.hex() for e in table["error"].tolist()]
+
+
+INT64 = np.iinfo(np.int64)
+stamps64 = st.integers(int(INT64.min), int(INT64.max))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestAnomalyCsv:
     def test_round_trip(self):
         points = [AnomalyPoint(10, 0.5), AnomalyPoint(42, 1.2345678901234567)]
-        text = detect.format_anomaly_csv(points)
-        assert detect.parse_anomaly_csv(text) == points
+        table = detect.parse_anomaly_csv(detect.format_anomaly_csv(points))
+        assert table.dtype == detect.ANOMALY_DTYPE
+        assert columns(table) == ([10, 42], [(0.5).hex(), (1.2345678901234567).hex()])
 
     @settings(deadline=None)
-    @given(rows=st.lists(st.tuples(st.integers(-2**70, 2**70),
-                                   st.floats(allow_nan=False, allow_infinity=False))))
+    @given(rows=st.lists(st.tuples(stamps64, finite)))
     def test_round_trip_property(self, rows):
         points = [AnomalyPoint(t, e) for t, e in rows]
-        back = detect.parse_anomaly_csv(detect.format_anomaly_csv(points))
-        assert [p.timestamp for p in back] == [p.timestamp for p in points]
-        # bitwise: float.hex keeps every bit, the sign of -0.0 included
-        assert [p.error.hex() for p in back] == [p.error.hex() for p in points]
+        text = detect.format_anomaly_csv(points)
+        back = detect.parse_anomaly_csv(text)
+        assert columns(back) == ([t for t, _ in rows], [e.hex() for _, e in rows])
+        # the table is written back byte for byte
+        assert detect.format_anomaly_csv(back) == text
 
     def test_empty(self):
-        assert detect.parse_anomaly_csv("timestamp,error\n") == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+            for text in ("timestamp,error\n", b"timestamp,error\n", "timestamp,error"):
+                table = detect.parse_anomaly_csv(text)
+                assert table.dtype == detect.ANOMALY_DTYPE and len(table) == 0
 
     def test_malformed(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -314,21 +376,32 @@ class TestAnomalyCsv:
         with pytest.raises(ParseError, match="line 1"):
             detect.parse_anomaly_csv("bogus\n")
 
+    @pytest.mark.parametrize("stamp", ["99999999999999999999", str(2**63), str(-2**63 - 1)])
+    def test_stamp_beyond_int64_rejected(self, stamp):
+        text = f"timestamp,error\n1,0.5\n{stamp},0.5\n"
+        for source in (text, text.encode()):
+            with pytest.raises(ParseError, match=f"^line 3: timestamp outside int64 in '{stamp},0.5'$"):
+                detect.parse_anomaly_csv(source)
+
+    def test_int64_bounds_accepted(self):
+        text = f"timestamp,error\n{INT64.min},0.5\n{INT64.max},1.5\n"
+        assert columns(detect.parse_anomaly_csv(text))[0] == [INT64.min, INT64.max]
+        assert anomaly_outcome(detect.parse_anomaly_csv, text) == \
+            anomaly_outcome(detect._parse_anomaly_lines, text)
+
     def test_event_csv_format(self):
         text = detect.format_event_csv([AnomalyEvent(1, 5, 2.5)])
         assert text == "start,end,peak_error\n1,5,2.5\n"
 
     @settings(deadline=None)
-    @given(rows=st.lists(st.tuples(st.integers(-2**62, 2**62),
-                                   st.floats(allow_nan=False, allow_infinity=False))))
+    @given(rows=st.lists(st.tuples(st.integers(-2**62, 2**62), finite)))
     def test_numpy_scalars_round_trip(self, rows):
         # numpy >= 2 reprs a float64 as `np.float64(0.5)`; the writer must not
         points = [AnomalyPoint(np.int64(t), np.float64(e)) for t, e in rows]
         text = detect.format_anomaly_csv(points)
         assert text == detect.format_anomaly_csv([AnomalyPoint(t, e) for t, e in rows])
-        back = detect.parse_anomaly_csv(text)
-        assert [(p.timestamp, p.error.hex()) for p in back] == \
-            [(t, float(e).hex()) for t, e in rows]
+        assert columns(detect.parse_anomaly_csv(text)) == \
+            ([t for t, _ in rows], [float(e).hex() for _, e in rows])
 
     def test_numpy_scalar_rows(self):
         assert detect.format_anomaly_csv([AnomalyPoint(3, np.float64(0.5))]) == \
@@ -339,6 +412,132 @@ class TestAnomalyCsv:
 
     def test_parses_bytes_like_text(self):
         text = "timestamp,error\r\n10,0.5\r\n\r\n42,1.25\n"
-        assert detect.parse_anomaly_csv(text.encode()) == detect.parse_anomaly_csv(text)
+        assert anomaly_outcome(detect.parse_anomaly_csv, text.encode()) == \
+            anomaly_outcome(detect.parse_anomaly_csv, text)
         with pytest.raises(UnicodeDecodeError):
             detect.parse_anomaly_csv(b"timestamp,error\n1,\xff\n")
+
+
+# Ways to write an int64 stamp and a double that Python's int() and float()
+# read back exactly.
+STAMP_FORMATS = [str, "{:+d}".format, "{:05d}".format, lambda t: f" {t}\t"]
+ERROR_FORMATS = [repr, "{:.17g}".format, "{:+.16e}".format, "{:.16E}".format,
+                 lambda x: f" {x!r}\t"]
+
+
+@st.composite
+def anomaly_texts(draw, plain=False):
+    """A valid anomaly CSV: int64 stamps (any order) and finite errors over
+    the whole double range. Unless `plain`, line endings are mixed and blank
+    or whitespace-only lines sit between rows."""
+    rows = draw(st.lists(st.tuples(st.one_of(stamps64, st.integers(-10**6, 10**10)), finite),
+                         max_size=25))
+    eol = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
+    blanks = st.lists(st.sampled_from(["", " ", "\t "]), max_size=0 if plain else 2)
+    parts = [detect.ANOMALY_CSV_HEADER, draw(eol)]
+    for t, e in rows:
+        for blank in draw(blanks):
+            parts += [blank, draw(eol)]
+        parts += [f"{draw(st.sampled_from(STAMP_FORMATS))(t)},"
+                  f"{draw(st.sampled_from(ERROR_FORMATS))(e)}", draw(eol)]
+    if rows and draw(st.booleans()):
+        parts.pop()
+    return "".join(parts)
+
+
+@st.composite
+def mangled_anomaly_texts(draw):
+    """An anomaly CSV with a few characters of its body inserted or
+    overwritten: mostly number syntax, separators and line breaks, which the
+    one-pass parse may still accept (a digit more can push a stamp past
+    int64, a point or exponent makes it a float), and sometimes other text."""
+    text = draw(st.one_of(anomaly_texts(plain=True), anomaly_texts()))
+    junk = st.one_of(
+        st.sampled_from("0123456789 \t"),
+        st.text(alphabet="0123456789.,+-eE \t\r\n", min_size=1, max_size=3),
+        st.text(alphabet="_xinfa#\"\x00\x0b\x0c\x1c\x1e\x85\u2028\u0661",
+                min_size=1, max_size=2))
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(len(detect.ANOMALY_CSV_HEADER) + 1, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(junk) + text[at + cut:]
+    return text
+
+
+class TestParseAnomalyBulk:
+    """The one-pass parse against the line loop it falls back to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(anomaly_texts(plain=True), anomaly_texts()))
+    def test_valid_text_bitwise_equal(self, text):
+        want = anomaly_outcome(detect._parse_anomaly_lines, text)
+        assert want[0] == detect.ANOMALY_DTYPE, want
+        assert anomaly_outcome(detect.parse_anomaly_csv, text) == want
+        assert anomaly_outcome(detect.parse_anomaly_csv, text.encode()) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(mangled_anomaly_texts())
+    def test_mangled_text_same_outcome(self, text):
+        want = anomaly_outcome(detect._parse_anomaly_lines, text)
+        assert anomaly_outcome(detect.parse_anomaly_csv, text) == want
+        assert anomaly_outcome(detect.parse_anomaly_csv, text.encode("utf-8")) == want
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,error\n1.0,0.5\n",
+        "timestamp,error\n1e3,0.5\n",
+        "timestamp,error\n1.,0.5\n",
+        "timestamp,error\n+5,0.5\n",
+        "timestamp,error\n 5\t,\t0.5 \n",
+        "timestamp,error\n0005,0.5\n",
+        "timestamp,error\n-0,-0.0\n",
+        "timestamp,error\n1_000,0.5\n",
+        "timestamp,error\n\u0661,0.5\n",
+        "timestamp,error\n5,1e400\n",
+        "timestamp,error\n5,nan\n",
+        "timestamp,error\n5,0.5,1\n",
+        "timestamp,error\n5\n",
+        "timestamp,error\n,0.5\n",
+        "timestamp,error\n5,\n",
+        "timestamp,error\n5,0.5\n   \n6,0.5\n",
+        "timestamp,error\r5,0.5\r6,0.5\r",
+        "timestamp,error\n5,0.5\x0c6,0.5\n",
+        "timestamp,error\n99999999999999999999,0.5\n",
+        "timestamp,error\n99999999999999999999,inf\n",
+        "timestamp,error\n\n\n",
+        "timestamp,error\n",
+        " timestamp,error \n5,0.5\n",
+        "timestamp,errors\n5,0.5\n",
+        "",
+    ])
+    def test_edge_cases_same_outcome(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+            got = anomaly_outcome(detect.parse_anomaly_csv, text)
+        assert got == anomaly_outcome(detect._parse_anomaly_lines, text)
+
+    def test_detect_output_skips_line_loop(self, monkeypatch):
+        points = [AnomalyPoint(INT64.min, -0.0), AnomalyPoint(7, 5e-324),
+                  AnomalyPoint(8, 1.7976931348623157e308), AnomalyPoint(INT64.max, -2.5)]
+        text = detect.format_anomaly_csv(points)
+        want = anomaly_outcome(detect.parse_anomaly_csv, text)
+        assert want == anomaly_outcome(detect._parse_anomaly_lines, text)
+        monkeypatch.setattr(detect, "_parse_anomaly_lines", None)
+        assert anomaly_outcome(detect.parse_anomaly_csv, text) == want
+        assert anomaly_outcome(detect.parse_anomaly_csv, text.encode()) == want
+
+    def test_loadtxt_warning_sends_file_to_line_loop(self, monkeypatch):
+        # an older numpy may read "1.0" into an int field and only warn
+        text = "timestamp,error\n1,0.5\n2,0.25\n"
+        load, lines = np.loadtxt, detect._parse_anomaly_lines
+        seen = []
+
+        def warning_load(*args, **kwargs):
+            warnings.warn("a float read as an int", DeprecationWarning)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_load)
+        monkeypatch.setattr(detect, "_parse_anomaly_lines",
+                            lambda text: seen.append(text) or lines(text))
+        assert anomaly_outcome(detect.parse_anomaly_csv, text) == \
+            anomaly_outcome(lines, text)
+        assert seen == [text]
