@@ -122,8 +122,8 @@ class ModelArtifact:
         if self.channel_stats is not None and \
                 len(self.channel_stats.channels) != cfg.feature_m:
             raise ShapeError("channel_stats do not match feature count")
-        if self.threshold is not None and not self.threshold >= 0:
-            raise ConfigError(f"threshold must be nonnegative, got {self.threshold}")
+        if self.threshold is not None and not 0 <= self.threshold < math.inf:
+            raise ConfigError(f"threshold must be finite and nonnegative, got {self.threshold}")
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Flat name -> tensor dict for the optimizer and gradient oracle."""

@@ -79,8 +79,7 @@ def _read_current(cfg: RunConfig) -> data.AlignedFrame:
 
 def _ground_truth(cfg: RunConfig, current: data.AlignedFrame) -> list[faults.FaultEvent]:
     lists = [read_input(p, faults.parse_fault_events) for p in cfg.fault_files]
-    series = data.RawSeries(current.channels[0], current.timestamps.astype(float),
-                            current.values[:, 0])
+    series = data.RawSeries(current.channels[0], current.timestamps, current.values[:, 0])
     lists.append(faults.detect_current_drops(series, cfg.current_drop_threshold))
     return faults.merge_event_lists(lists, cfg.coalesce_gap)
 
@@ -193,12 +192,12 @@ def cmd_detect(cfg: RunConfig) -> None:
     ws = data.make_windows(standardized, model.config.window_k)
 
     errors = ae.reconstruction_errors(model, ws.windows)
-    points = detect.flag_anomalies(errors, ws.end_timestamps, model.threshold)
+    flagged = detect.flag_anomalies(errors, ws.end_timestamps, model.threshold)
     out = Path(cfg.output_dir)
-    atomic_write_text(out / "anomalies.csv", detect.format_anomaly_csv(points))
-    message = f"detect: {len(points)} anomalies in {len(ws)} windows"
+    atomic_write_text(out / "anomalies.csv", detect.format_anomaly_csv(flagged))
+    message = f"detect: {len(flagged)} anomalies in {len(ws)} windows"
     if cfg.merge_max_gap is not None:
-        events = detect.merge_consecutive_anomalies(points, cfg.merge_max_gap)
+        events = detect.merge_consecutive_anomalies(flagged, cfg.merge_max_gap)
         atomic_write_text(out / "anomaly_events.csv", detect.format_event_csv(events))
         message += f", merged into {len(events)} events"
     print(message + f" -> {out}")

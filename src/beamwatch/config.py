@@ -8,6 +8,7 @@ resolved against the directory containing the config file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -75,6 +76,8 @@ def _typed(raw: dict[str, str]) -> dict:
                 kwargs[key] = None if value == "" else int(value)
             elif types[key] == "float":
                 kwargs[key] = float(value)
+                if not math.isfinite(kwargs[key]):
+                    raise ConfigError(f"config key {key!r}: {value!r} is not finite")
             else:
                 kwargs[key] = value
         except ValueError:
@@ -90,7 +93,7 @@ def _with_overrides(cfg: RunConfig, overrides: dict[str, str] | None) -> RunConf
         raise ConfigError(f"--set: {exc}") from None
 
 
-def parse_run_config(text: str | bytes, overrides: dict[str, str] | None = None) -> RunConfig:
+def parse_run_config(text: str | bytes) -> RunConfig:
     """Parse `key = value` lines (# comments allowed) into a RunConfig."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(as_text(text).splitlines(), start=1):
@@ -101,7 +104,7 @@ def parse_run_config(text: str | bytes, overrides: dict[str, str] | None = None)
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         raw[key.strip()] = value.strip()
-    return _with_overrides(RunConfig(**_typed(raw)), overrides)
+    return RunConfig(**_typed(raw))
 
 
 def load_run_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -12,6 +12,7 @@ reader of plain CSV bytes that the series and anomaly parsers share.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import warnings
@@ -135,11 +136,10 @@ def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeri
     """
     table = plain_csv_table(text, SERIES_CSV_HEADER, _SERIES_DTYPE)
     if table is not None:
-        ts, values = table["timestamp"], table["value"]
-        if (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))
-                and (len(ts) < 2 or np.all(np.diff(ts) > 0))):
-            return RawSeries(channel_name, np.ascontiguousarray(ts),
-                             np.ascontiguousarray(values))
+        # RawSeries checks the values; a table that fails goes to the line loop.
+        with contextlib.suppress(DataError, OrderError):
+            return RawSeries(channel_name, np.ascontiguousarray(table["timestamp"]),
+                             np.ascontiguousarray(table["value"]))
     return _parse_series_lines(as_text(text), channel_name)
 
 

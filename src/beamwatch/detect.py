@@ -7,10 +7,12 @@ interval: the `lead_window` seconds before the fault start (mode
 "lead_plus_duration"). Precision is anomaly-based, recall is fault-based,
 and accuracy is per-second agreement over the evaluated span.
 
-`parse_anomaly_csv` reads the anomaly CSV into one table of `ANOMALY_DTYPE`
-rows, a plain file in one `loadtxt` pass and any other through the line
-loop, and `score_detections` works on its stamps as an int64 array, so a
-plain file reaches the report with no per-row Python object.
+Anomalies travel as one table of `ANOMALY_DTYPE` rows: `flag_anomalies`
+builds it, `format_anomaly_csv` writes it and `parse_anomaly_csv` reads it
+back, a plain file in one `loadtxt` pass and any other through the line
+loop. `score_detections` counts everything from two per-second masks over
+the evaluated span, so a plain file reaches the report with no per-row
+Python object. Merged `AnomalyEvent`s are only written, to the event CSV.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class DetectorThreshold:
 
 
 class AnomalyPoint(NamedTuple):
-    """A single flagged window: its last-row epoch second and its error."""
+    """A single flagged window: its last-row epoch second and its error; one
+    row of an anomaly table, for callers that build anomalies by hand."""
 
     timestamp: int
     error: float
@@ -103,11 +106,9 @@ def compute_threshold(training_errors: np.ndarray, multiplier: float = 3.0) -> D
 
 def flag_anomalies(errors: np.ndarray,
                    end_timestamps: np.ndarray,
-                   threshold: DetectorThreshold | float) -> list[AnomalyPoint]:
-    """Flag windows whose error strictly exceeds the threshold value.
-
-    The anomaly timestamp is the window's last-row epoch second.
-    """
+                   threshold: DetectorThreshold | float) -> np.ndarray:
+    """The `ANOMALY_DTYPE` table of the windows whose error strictly exceeds
+    the threshold value, stamped with the window's last-row epoch second."""
     errors = np.asarray(errors, dtype=np.float64)
     end_timestamps = np.asarray(end_timestamps)
     if errors.shape != end_timestamps.shape:
@@ -115,11 +116,22 @@ def flag_anomalies(errors: np.ndarray,
             f"errors shape {errors.shape} != timestamps shape {end_timestamps.shape}"
         )
     value = threshold.value if isinstance(threshold, DetectorThreshold) else float(threshold)
-    hits = np.flatnonzero(errors > value)
-    return [AnomalyPoint(int(end_timestamps[i]), float(errors[i])) for i in hits]
+    hits = errors > value
+    table = np.empty(np.count_nonzero(hits), dtype=ANOMALY_DTYPE)
+    table["timestamp"] = end_timestamps[hits]
+    table["error"] = errors[hits]
+    return table
 
 
-def merge_consecutive_anomalies(points: Sequence[AnomalyPoint],
+def _anomaly_table(anomalies: np.ndarray | Iterable[AnomalyPoint]) -> np.ndarray:
+    """`anomalies` as an `ANOMALY_DTYPE` table: a table itself, or the rows
+    of an iterable of AnomalyPoints."""
+    if isinstance(anomalies, np.ndarray):
+        return anomalies
+    return np.fromiter(anomalies, dtype=ANOMALY_DTYPE)
+
+
+def merge_consecutive_anomalies(points: np.ndarray | Iterable[AnomalyPoint],
                                 max_gap: int = 0) -> list[AnomalyEvent]:
     """Join runs of anomaly points whose inter-timestamp gap is <= max_gap.
 
@@ -128,63 +140,21 @@ def merge_consecutive_anomalies(points: Sequence[AnomalyPoint],
     """
     if max_gap < 0:
         raise ConfigError(f"max_gap must be >= 0, got {max_gap}")
-    for a, b in zip(points, points[1:]):
-        if b.timestamp < a.timestamp:
-            raise OrderError("anomaly points must be sorted by timestamp")
+    table = _anomaly_table(points)
+    stamps = table["timestamp"]
+    if np.any(stamps[1:] < stamps[:-1]):
+        raise OrderError("anomaly points must be sorted by timestamp")
     events: list[AnomalyEvent] = []
-    for p in points:
-        if events and p.timestamp - events[-1].end - 1 <= max_gap:
+    for t, error in table.tolist():
+        if events and t - events[-1].end - 1 <= max_gap:
             prev = events[-1]
-            events[-1] = AnomalyEvent(prev.start, p.timestamp,
-                                      max(prev.peak_error, p.error))
+            events[-1] = AnomalyEvent(prev.start, t, max(prev.peak_error, error))
         else:
-            events.append(AnomalyEvent(p.timestamp, p.timestamp, p.error))
+            events.append(AnomalyEvent(t, t, error))
     return events
 
 
-def _anomaly_intervals(anomalies) -> np.ndarray:
-    """The inclusive [start, end] rows ([n, 2] int64) of an anomaly table, or
-    of a sequence of AnomalyPoints (one second each) and AnomalyEvents."""
-    if isinstance(anomalies, np.ndarray):
-        stamps = anomalies["timestamp"]
-        return np.column_stack([stamps, stamps])
-    return np.array([(a.timestamp, a.timestamp) if isinstance(a, AnomalyPoint)
-                     else (a.start, a.end) for a in anomalies],
-                    dtype=np.int64).reshape(-1, 2)
-
-
-def _match_interval(fault: FaultEvent, lead_window: int, mode: str) -> tuple[int, int]:
-    if mode == "lead_only":
-        return fault.start - lead_window, fault.start
-    return fault.start - lead_window, fault.end
-
-
-def _overlaps_any(intervals: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """For each inclusive [lo, hi] row of `queries`, whether any inclusive
-    interval row of `intervals` overlaps it.
-
-    With the intervals sorted by start, those starting at or before a
-    query's end form a prefix; one of them overlaps the query exactly when
-    the prefix's largest end reaches the query's start.
-    """
-    if len(intervals) == 0:
-        return np.zeros(len(queries), dtype=bool)
-    order = np.argsort(intervals[:, 0])
-    starts = intervals[order, 0]
-    reach = np.maximum.accumulate(intervals[order, 1])
-    prefix = np.searchsorted(starts, queries[:, 1], side="right")
-    return (prefix > 0) & (reach[np.maximum(prefix - 1, 0)] >= queries[:, 0])
-
-
-def _covered_seconds(intervals: np.ndarray, n_seconds: int) -> np.ndarray:
-    """Per-second mask of the union of inclusive [lo, hi] rows that lie in
-    [0, n_seconds), from a difference array of run edges."""
-    edges = (np.bincount(intervals[:, 0], minlength=n_seconds + 1)
-             - np.bincount(intervals[:, 1] + 1, minlength=n_seconds + 1))
-    return np.cumsum(edges[:n_seconds]) > 0
-
-
-def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint] | Sequence[AnomalyEvent],
+def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
                      faults: Sequence[FaultEvent],
                      lead_window: int = 10,
                      mode: str = "lead_only",
@@ -192,8 +162,8 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint] | Sequence[A
     """Score anomalies against fault ground truth.
 
     Args:
-        anomalies: flagged points, as a `parse_anomaly_csv` table or a
-            sequence of AnomalyPoints, or merged events; within frame_span.
+        anomalies: flagged points, as an anomaly table or a sequence of
+            AnomalyPoints, within frame_span.
         faults: ground-truth fault intervals, within frame_span.
         lead_window: seconds before a fault start that still count as
             detecting it.
@@ -202,10 +172,13 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint] | Sequence[A
         frame_span: inclusive (first, last) epoch second of the evaluated
             data; the denominator of per-second accuracy.
 
-    A fault is detected if any anomaly overlaps its match interval (counted
+    A fault is detected if any anomaly falls in its match interval (counted
     once); an anomaly matching no fault is a false positive. Accuracy is the
     per-second agreement between flagged seconds and match-interval seconds
-    over the span.
+    over the span. All three are read from two masks over the span's
+    seconds: `predicted`, the flagged seconds, and `truth`, the match
+    intervals clipped to the span. The clip changes no count, since every
+    anomaly and fault lies in the span.
 
     Zero-division conventions: with no anomalies, precision is 0 when faults
     exist and 1 otherwise; with no faults, recall is 1 (nothing was missed);
@@ -219,24 +192,39 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint] | Sequence[A
     if frame_span is None or frame_span[1] < frame_span[0]:
         raise DataError(f"empty frame span: {frame_span}")
     span_start, span_end = int(frame_span[0]), int(frame_span[1])
-    anomaly_ivs = _anomaly_intervals(anomalies)
-    outside = (anomaly_ivs[:, 0] < span_start) | (anomaly_ivs[:, 1] > span_end)
+    stamps = _anomaly_table(anomalies)["timestamp"]
+    outside = (stamps < span_start) | (stamps > span_end)
     if outside.any():
-        s, e = anomaly_ivs[np.argmax(outside)].tolist()
-        raise DataError(f"anomaly [{s}, {e}] outside frame span")
+        s = int(stamps[np.argmax(outside)])
+        raise DataError(f"anomaly [{s}, {s}] outside frame span")
     for f in faults:
         if f.start < span_start or f.end > span_end:
             raise DataError(f"fault [{f.start}, {f.end}] outside frame span")
 
-    match_ivs = np.array([_match_interval(f, lead_window, mode) for f in faults],
-                         dtype=np.int64).reshape(-1, 2)
-    fault_hit = _overlaps_any(anomaly_ivs, match_ivs)
+    n_seconds = span_end - span_start + 1
+    seconds = stamps - span_start
+    predicted = np.zeros(n_seconds, dtype=bool)
+    predicted[seconds] = True
+    # match intervals [lo, hi] as offsets into the span; `truth` is their
+    # union, from a difference array of run edges
+    starts = np.array([f.start for f in faults], dtype=np.int64)
+    ends = starts if mode == "lead_only" else np.array([f.end for f in faults], dtype=np.int64)
+    lo = np.maximum(starts - lead_window - span_start, 0)
+    hi = ends - span_start
+    edges = (np.bincount(lo, minlength=n_seconds + 1)
+             - np.bincount(hi + 1, minlength=n_seconds + 1))
+    truth = np.cumsum(edges[:n_seconds]) > 0
+    # flagged seconds before each second: a fault is hit when the count
+    # rises inside its match interval
+    flagged_before = np.zeros(n_seconds + 1, dtype=np.int64)
+    np.cumsum(predicted, out=flagged_before[1:])
+    fault_hit = flagged_before[hi + 1] > flagged_before[lo]
     matched_faults = [f for f, hit in zip(faults, fault_hit) if hit]
-    matched_anoms = int(np.count_nonzero(_overlaps_any(match_ivs, anomaly_ivs)))
+    matched_anoms = int(np.count_nonzero(truth[seconds]))
 
     tp = len(matched_faults)
     fn = len(faults) - tp
-    n_anoms = len(anomaly_ivs)
+    n_anoms = len(stamps)
     fp = n_anoms - matched_anoms
 
     if n_anoms:
@@ -245,11 +233,6 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint] | Sequence[A
         precision = 0.0 if faults else 1.0
     recall = tp / len(faults) if faults else 1.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-
-    n_seconds = span_end - span_start + 1
-    predicted = _covered_seconds(anomaly_ivs - span_start, n_seconds)
-    truth = _covered_seconds(np.clip(match_ivs, span_start, span_end) - span_start,
-                             n_seconds)
     accuracy = float(np.mean(predicted == truth))
 
     return EvalReport(
@@ -268,11 +251,10 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint] | Sequence[A
 
 
 def format_anomaly_csv(points: np.ndarray | Iterable[AnomalyPoint]) -> str:
-    """The anomaly CSV of a `parse_anomaly_csv` table or of AnomalyPoints;
-    errors are written by `repr`, so parsing gives back the same doubles."""
-    rows = points.tolist() if isinstance(points, np.ndarray) else points
+    """The anomaly CSV of an anomaly table or of AnomalyPoints; errors are
+    written by `repr`, so parsing gives back the same doubles."""
     lines = [ANOMALY_CSV_HEADER]
-    lines += [f"{t},{float(e)!r}" for t, e in rows]
+    lines += [f"{t},{e!r}" for t, e in _anomaly_table(points).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from beamwatch import autoencoder as ae
 from beamwatch import nn
 from beamwatch.data import ChannelStats
+from beamwatch.detect import compute_threshold
 from beamwatch.errors import ConfigError, DataError, ParseError, ShapeError, VersionError
 
 from conftest import rel_err
@@ -71,6 +72,19 @@ class TestInitModel:
             ae.AutoencoderConfig(dropout_rate=1.0)
         with pytest.raises(ConfigError):
             ae.AutoencoderConfig(seed=-1)
+
+    @pytest.mark.parametrize("threshold", [-0.5, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        with pytest.raises(ConfigError, match="^threshold must be finite and nonnegative, got"):
+            dataclasses.replace(ae.init_model(TINY), threshold=threshold)
+
+    def test_overflowing_threshold_rejected(self):
+        # a finite multiplier can overflow the threshold value, as
+        # `train --set threshold_multiplier=1e308` would on these errors
+        value = compute_threshold(np.array([0.0, 4.0]), multiplier=1e308).value
+        assert value == np.inf
+        with pytest.raises(ConfigError, match="^threshold must be finite and nonnegative, got inf$"):
+            dataclasses.replace(ae.init_model(TINY), threshold=value)
 
 
 class TestForward:

@@ -1,6 +1,8 @@
 """End-to-end CLI tests on a small synthetic run, plus config parsing."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -52,9 +54,23 @@ class TestConfigParsing:
         assert cfg.series_files == ("a.csv", "b.csv")
         assert cfg.merge_max_gap == 4
 
-    def test_overrides_win(self):
-        cfg = cfgmod.parse_run_config("window_k = 12\n", {"window_k": "15"})
+    def test_overrides_win(self, tmp_path):
+        (tmp_path / "run.cfg").write_text("window_k = 12\n")
+        cfg = cfgmod.load_run_config(tmp_path / "run.cfg", {"window_k": "15"})
         assert cfg.window_k == 15
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(cfgmod.RunConfig)
+                                     if f.type == "float"])
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        reason = re.escape(f"config key '{key}': '{value}' is not finite")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {reason}$"):
+            cfgmod.load_run_config(path)
+        path.write_text("")
+        with pytest.raises(ConfigError, match=f"^--set: {reason}$"):
+            cfgmod.load_run_config(path, {key: value})
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -265,7 +281,8 @@ class TestEvalScenario:
         ("no_such_key=1", "--set: unknown config key 'no_such_key'"),
         ("window_k=thirty", "--set: config key 'window_k': cannot parse 'thirty'"),
         ("scoring_mode=magic", "--set: scoring_mode must be one of"),
-    ], ids=["unknown", "value", "invalid"])
+        ("threshold_multiplier=inf", "--set: config key 'threshold_multiplier': 'inf' is not"),
+    ], ids=["unknown", "value", "invalid", "non-finite"])
     def test_set_errors_say_set(self, tmp_path, capsys, pair, message):
         (tmp_path / "run.cfg").write_text("epochs = 1\n")
         assert main(["train", "--config", str(tmp_path / "run.cfg"), "--set", pair]) == 1

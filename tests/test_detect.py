@@ -33,7 +33,7 @@ class TestComputeThreshold:
         thr = detect.compute_threshold(errors)
         if thr.value >= errors.max():
             flagged = detect.flag_anomalies(errors, np.arange(200), thr)
-            assert flagged == []
+            assert columns(flagged) == ([], [])
 
     def test_value_identity_property(self, rng):
         for _ in range(50):
@@ -54,22 +54,24 @@ class TestComputeThreshold:
 class TestFlagAnomalies:
     def test_all_below_threshold(self):
         thr = detect.DetectorThreshold(mean=1.0, std=0.0)
-        assert detect.flag_anomalies(np.array([0.1, 0.9]), np.array([5, 6]), thr) == []
+        table = detect.flag_anomalies(np.array([0.1, 0.9]), np.array([5, 6]), thr)
+        assert table.dtype == detect.ANOMALY_DTYPE and columns(table) == ([], [])
 
     def test_tie_not_flagged(self):
         thr = detect.DetectorThreshold(mean=1.0, std=0.0)
-        assert detect.flag_anomalies(np.array([1.0]), np.array([5]), thr) == []
-        assert detect.flag_anomalies(np.array([1.0 + 1e-12]), np.array([5]), thr) != []
+        assert columns(detect.flag_anomalies(np.array([1.0]), np.array([5]), thr)) == ([], [])
+        assert columns(detect.flag_anomalies(np.array([1.0 + 1e-12]), np.array([5]), thr)) == \
+            ([5], [(1.0 + 1e-12).hex()])
 
     def test_timestamp_is_window_end(self):
         # a window covering seconds 0..29 is flagged at second 29
         thr = detect.DetectorThreshold(mean=0.0, std=0.0)
-        points = detect.flag_anomalies(np.array([2.0]), np.array([29]), thr)
-        assert points == [AnomalyPoint(29, 2.0)]
+        table = detect.flag_anomalies(np.array([2.0]), np.array([29]), thr)
+        assert columns(table) == ([29], [(2.0).hex()])
 
     def test_accepts_plain_float_threshold(self):
-        points = detect.flag_anomalies(np.array([0.5, 2.0]), np.array([1, 2]), 1.0)
-        assert points == [AnomalyPoint(2, 2.0)]
+        table = detect.flag_anomalies(np.array([0.5, 2.0]), np.array([1, 2]), 1.0)
+        assert columns(table) == ([2], [(2.0).hex()])
 
     def test_matches_bruteforce_filter(self, rng):
         for _ in range(30):
@@ -78,9 +80,10 @@ class TestFlagAnomalies:
             ts = np.cumsum(rng.integers(1, 5, n)) if n else np.array([], dtype=int)
             thr = detect.DetectorThreshold(float(rng.uniform(0, 2)), 0.0)
             got = detect.flag_anomalies(errors, ts, thr)
-            expected = [AnomalyPoint(int(ts[i]), float(errors[i]))
-                        for i in range(n) if errors[i] > thr.value]
-            assert got == expected
+            hits = [i for i in range(n) if errors[i] > thr.value]
+            assert got.dtype == detect.ANOMALY_DTYPE
+            assert columns(got) == ([int(ts[i]) for i in hits],
+                                    [float(errors[i]).hex() for i in hits])
 
     def test_scaling_invariance(self, rng):
         # power-of-two scaling is exact in floating point
@@ -89,9 +92,9 @@ class TestFlagAnomalies:
         thr = detect.compute_threshold(errors)
         scaled_thr = detect.compute_threshold(errors * 2.0)
         assert scaled_thr.value == 2.0 * thr.value
-        base = [p.timestamp for p in detect.flag_anomalies(errors, ts, thr)]
-        scaled = [p.timestamp for p in detect.flag_anomalies(errors * 2.0, ts, scaled_thr)]
-        assert base == scaled
+        base = detect.flag_anomalies(errors, ts, thr)["timestamp"]
+        scaled = detect.flag_anomalies(errors * 2.0, ts, scaled_thr)["timestamp"]
+        assert base.tolist() == scaled.tolist()
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -113,10 +116,10 @@ class TestMergeConsecutiveAnomalies:
         events = detect.merge_consecutive_anomalies(points, max_gap=0)
         assert events == [AnomalyEvent(1, 2, 1.5), AnomalyEvent(4, 4, 0.5)]
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(OrderError):
-            detect.merge_consecutive_anomalies(
-                [AnomalyPoint(5, 1.0), AnomalyPoint(3, 1.0)], 1)
+    @pytest.mark.parametrize("stamps", [(5, 3), (1, 3, 2)])
+    def test_unsorted_rejected(self, stamps):
+        with pytest.raises(OrderError, match="^anomaly points must be sorted by timestamp$"):
+            detect.merge_consecutive_anomalies([AnomalyPoint(t, 1.0) for t in stamps], 5)
 
     @settings(deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-100, 300),
@@ -150,12 +153,7 @@ class TestMergeConsecutiveAnomalies:
 
 def bruteforce_score(anomalies, faults, lead, mode, span):
     """Independent exhaustive matcher: nested loops and per-second sets."""
-    intervals = []
-    for a in anomalies:
-        if isinstance(a, AnomalyPoint):
-            intervals.append((a.timestamp, a.timestamp))
-        else:
-            intervals.append((a.start, a.end))
+    intervals = [(a.timestamp, a.timestamp) for a in anomalies]
     match_of = {}
     for f in faults:
         hi = f.start if mode == "lead_only" else f.end
@@ -242,13 +240,6 @@ class TestScoreDetections:
                                          frame_span=(0, 9))
         assert report.accuracy == pytest.approx(0.9)
 
-    def test_merged_events_as_input(self):
-        events = [AnomalyEvent(90, 96, 2.0)]
-        report = detect.score_detections(events, [FaultEvent(100, 100)],
-                                         lead_window=10, mode="lead_only",
-                                         frame_span=(0, 200))
-        assert report.true_positives == 1
-
     def test_matches_exhaustive_matcher(self, rng):
         for trial in range(120):
             anoms, faults, lead, mode, span = random_case(rng, trial)
@@ -260,8 +251,8 @@ class TestScoreDetections:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), span_len=st.integers(1, 300), lead=st.integers(0, 40),
-           mode=st.sampled_from(detect.SCORING_MODES), merge_gap=st.none() | st.integers(0, 6))
-    def test_matches_exhaustive_matcher_property(self, data, span_len, lead, mode, merge_gap):
+           mode=st.sampled_from(detect.SCORING_MODES))
+    def test_matches_exhaustive_matcher_property(self, data, span_len, lead, mode):
         span = (1000, 1000 + span_len - 1)
         second = st.integers(*span)
         faults = []
@@ -271,20 +262,14 @@ class TestScoreDetections:
         faults.sort()
         stamps = sorted(data.draw(st.sets(second, max_size=60)))
         anomalies = [AnomalyPoint(t, 1.0) for t in stamps]
-        if merge_gap is not None:
-            anomalies = detect.merge_consecutive_anomalies(anomalies, merge_gap)
         report = detect.score_detections(anomalies, faults, lead, mode, span)
         tp, fp, fn, matched, acc = bruteforce_score(anomalies, faults, lead, mode, span)
         assert (report.true_positives, report.false_positives,
                 report.false_negatives, report.matched_anomalies) == (tp, fp, fn, matched)
         assert report.accuracy == acc
-        if merge_gap is None:
-            covered = set(stamps)
-        else:
-            covered = {t for e in anomalies for t in range(e.start, e.end + 1)}
         last = (lambda f: f.start) if mode == "lead_only" else (lambda f: f.end)
         assert report.matched_faults == tuple(
-            f for f in faults if covered & set(range(f.start - lead, last(f) + 1)))
+            f for f in faults if set(stamps) & set(range(f.start - lead, last(f) + 1)))
 
     def test_table_scores_like_points(self, rng):
         for trial in range(120):
@@ -298,18 +283,24 @@ class TestScoreDetections:
         for anomalies in (table, [AnomalyPoint(int(t), float(e)) for t, e in table.tolist()]):
             with pytest.raises(DataError, match=r"^anomaly \[50, 50\] outside frame span$"):
                 detect.score_detections(anomalies, [], frame_span=(0, 10))
-        events = [AnomalyEvent(0, 3, 1.0), AnomalyEvent(-2, 4, 1.0), AnomalyEvent(8, 12, 1.0)]
-        with pytest.raises(DataError, match=r"^anomaly \[-2, 4\] outside frame span$"):
-            detect.score_detections(events, [], frame_span=(0, 10))
 
     def test_benchmark_counts_read_the_table(self):
-        # The benchmark counts len() of the parse result as its rows and of
-        # `anomalies` in score_detections' pairs; both must be the row count.
-        points = [AnomalyPoint(t, 0.5) for t in (3, 4, 9, 20, 21)]
-        table = detect.parse_anomaly_csv(detect.format_anomaly_csv(points))
-        assert len(table) == len(points)
+        # The benchmark counts len() of the flag and parse results as its
+        # flagged and parsed rows and of `anomalies` in score_detections'
+        # pairs; each must be the row count. Its rescore set-up writes the
+        # CSV from a generator of AnomalyPoints, and its tests score a list.
+        errors = np.array([0.5, 0.1, 0.5, 0.5, 0.1, 0.5, 0.5])
+        flagged = detect.flag_anomalies(errors, np.array([3, 4, 9, 11, 15, 20, 21]), 0.25)
+        assert len(flagged) == 5
+        rows = [(t, 0.5) for t in (3, 9, 11, 20, 21)]
+        text = detect.format_anomaly_csv(AnomalyPoint(t, e) for t, e in rows)
+        assert text == "timestamp,error\n3,0.5\n9,0.5\n11,0.5\n20,0.5\n21,0.5\n"
+        assert text == detect.format_anomaly_csv(flagged)
+        table = detect.parse_anomaly_csv(text)
+        assert len(table) == len(rows)
         report = detect.score_detections(table, [FaultEvent(10, 12)], 10, "lead_only", (0, 30))
         assert report.total_anomalies == len(table)
+        points = [AnomalyPoint(t, e) for t, e in rows]
         assert report == detect.score_detections(points, [FaultEvent(10, 12)], 10,
                                                  "lead_only", (0, 30))
 
@@ -402,6 +393,20 @@ class TestAnomalyCsv:
         assert text == detect.format_anomaly_csv([AnomalyPoint(t, e) for t, e in rows])
         assert columns(detect.parse_anomaly_csv(text)) == \
             ([t for t, _ in rows], [float(e).hex() for _, e in rows])
+
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(stamps64, st.floats(0, allow_infinity=False))),
+           threshold=st.floats(0, 1e300))
+    def test_flagged_table_round_trip(self, rows, threshold):
+        stamps = np.array([t for t, _ in rows], dtype=np.int64)
+        errors = np.array([e for _, e in rows], dtype=np.float64)
+        table = detect.flag_anomalies(errors, stamps, threshold)
+        text = detect.format_anomaly_csv(table)
+        back = detect.parse_anomaly_csv(text)
+        assert back.dtype == table.dtype and back.tobytes() == table.tobytes()
+        # the text of the per-row writer that detect used before the table
+        assert text == "".join([f"{detect.ANOMALY_CSV_HEADER}\n"] + [
+            f"{int(t)},{float(e)!r}\n" for t, e in zip(stamps, errors) if e > threshold])
 
     def test_numpy_scalar_rows(self):
         assert detect.format_anomaly_csv([AnomalyPoint(3, np.float64(0.5))]) == \

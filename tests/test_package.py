@@ -3,9 +3,11 @@ count to one without overriding a value already set. Each check runs in a
 fresh interpreter, since the test process has numpy loaded already. A tiny
 CLI run checks that every file is opened with an explicit encoding, and a
 scan of the source checks that only `ioutil` opens, reads or writes files,
-numpy's path-taking I/O included."""
+numpy's path-taking I/O included. A read of the benchmark's layer map
+checks that every function it traces exists."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -118,3 +120,27 @@ def test_only_ioutil_touches_files():
         calls |= {(path.name, name) for name in file_calls(path.read_text(encoding="utf-8"))}
     assert {("ioutil.py", "read_bytes"), ("ioutil.py", "fdopen")} <= calls
     assert {module for module, _ in calls} == {"ioutil.py"}, sorted(calls)
+
+
+def traced_targets(source: str) -> list[str]:
+    """The `Target("module.function", ...)` names listed in the `TARGETS`
+    assignment of `source`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return [call.args[0].value for call in node.value.elts]
+    raise AssertionError("no TARGETS assignment")
+
+
+def test_benchmark_targets_exist():
+    # The benchmark skips a name that no longer resolves and records it as
+    # absent, so a moved or renamed function would vanish from its figures.
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    names = traced_targets(layers.read_text(encoding="utf-8"))
+    assert names
+    missing = []
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        if not hasattr(importlib.import_module(f"beamwatch.{module}"), attr):
+            missing.append(name)
+    assert missing == []
