@@ -23,8 +23,8 @@ from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
 from .errors import BeamwatchError, ConfigError, DataError
-from .ioutil import (atomic_write_bytes, atomic_write_text, atomic_writer,
-                     read_input, read_optional_bytes)
+from .ioutil import (atomic_write_bytes, atomic_write_text, atomic_writer, file_sha256,
+                     map_optional_bytes, read_input)
 
 
 # A parse-cache entry: this tag, the sha256 of the input bytes, the row
@@ -34,10 +34,12 @@ _CACHE_TAG = b"bwseries"
 _CACHE_HEADER = len(_CACHE_TAG) + 32 + 8
 
 
-def _cached_table(entry: bytes | None, digest: bytes) -> np.ndarray | None:
-    """The [2, n] table of a cache entry made from the input bytes with this
-    `digest`, or None when the entry is missing, foreign or cut short."""
-    if entry is None or len(entry) < _CACHE_HEADER or not entry.startswith(_CACHE_TAG + digest):
+def _cached_table(entry, digest: bytes) -> np.ndarray | None:
+    """The [2, n] table, viewed in place, of a cache entry (any bytes-like
+    object, or None) made from the input bytes with this `digest`, or None
+    when the entry is missing, foreign or cut short."""
+    key = _CACHE_TAG + digest
+    if entry is None or len(entry) < _CACHE_HEADER or entry[:len(key)] != key:
         return None
     n = int.from_bytes(entry[_CACHE_HEADER - 8:_CACHE_HEADER], "little")
     if len(entry) != _CACHE_HEADER + 16 * n:
@@ -45,17 +47,12 @@ def _cached_table(entry: bytes | None, digest: bytes) -> np.ndarray | None:
     return np.frombuffer(entry, dtype="<f8", offset=_CACHE_HEADER).reshape(2, n)
 
 
-def _parse_cached(raw: bytes, entry_path: Path, name: str) -> data.RawSeries:
-    """The series in `raw`: built from its cache entry on a hit, else parsed
-    and, once it is known to be valid, written to the entry."""
-    digest = hashlib.sha256(raw).digest()
-    table = _cached_table(read_optional_bytes(entry_path), digest)
-    if table is not None:
-        # RawSeries checks the table again; an entry that fails is a miss.
-        with contextlib.suppress(BeamwatchError):
-            return data.RawSeries(name, table[0], table[1])
+def _parse_and_cache(raw: bytes, entry_path: Path, name: str) -> data.RawSeries:
+    """The series parsed from `raw`, written, once it is known to be valid,
+    to the entry keyed by the digest of these very bytes."""
     series = data.parse_series_csv(raw, name)
-    atomic_write_bytes(entry_path, _CACHE_TAG, digest, len(series).to_bytes(8, "little"),
+    atomic_write_bytes(entry_path, _CACHE_TAG, hashlib.sha256(raw).digest(),
+                       len(series).to_bytes(8, "little"),
                        np.ascontiguousarray(series.timestamps, dtype="<f8"),
                        np.ascontiguousarray(series.values, dtype="<f8"))
     return series
@@ -63,9 +60,20 @@ def _parse_cached(raw: bytes, entry_path: Path, name: str) -> data.RawSeries:
 
 def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
     """Read one series file, named after its stem, through the parse cache
-    in `<output_dir>/.series_cache/<stem>`."""
+    in `<output_dir>/.series_cache/<stem>`.
+
+    A hit hashes the file in chunks and views the read-only mapped entry,
+    so the file is never held in memory whole; a miss reads and parses it.
+    """
     name = Path(path).stem
-    return read_input(path, _parse_cached, Path(cfg.output_dir) / ".series_cache" / name, name)
+    entry_path = Path(cfg.output_dir) / ".series_cache" / name
+    digest = file_sha256(path)
+    table = _cached_table(map_optional_bytes(entry_path), digest)
+    if table is not None:
+        # RawSeries checks the table again; an entry that fails is a miss.
+        with contextlib.suppress(BeamwatchError):
+            return data.RawSeries(name, table[0], table[1])
+    return read_input(path, _parse_and_cache, entry_path, name)
 
 
 def _read_series(cfg: RunConfig) -> list[data.RawSeries]:

@@ -239,6 +239,8 @@ def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:
     The grid spans the intersection of the channels' time supports; every
     grid cell takes the most recent observation at or before it, so no cell
     is missing. Seconds before a channel's first observation are dropped.
+    A channel whose stamps already are the grid is taken as it is, and a
+    lone such channel's values are viewed, not copied, as the frame's.
     """
     if not series:
         raise DataError("no series to align")
@@ -256,6 +258,9 @@ def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:
     grid = np.arange(start, end + 1, dtype=np.int64)
     cols = []
     for s in series:
+        if len(s) == n and np.array_equal(s.timestamps, grid):
+            cols.append(s.values)
+            continue
         # For an integer second g, ts <= g exactly when ceil(ts) <= g, so the
         # number of samples at or before grid cell j is a running count of
         # ceil(ts) - start (stamps before the grid land in cell 0, after it
@@ -263,7 +268,8 @@ def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:
         cells = np.clip(np.ceil(s.timestamps) - start, 0, n).astype(np.intp)
         idx = np.cumsum(np.bincount(cells, minlength=n + 1)[:n]) - 1
         cols.append(s.values[idx])
-    return AlignedFrame(tuple(names), grid, np.column_stack(cols))
+    values = cols[0][:, None] if len(cols) == 1 else np.column_stack(cols)
+    return AlignedFrame(tuple(names), grid, values)
 
 
 def chronological_split(frame: AlignedFrame, train_fraction: float = 0.5

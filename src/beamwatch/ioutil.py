@@ -1,10 +1,14 @@
-"""Small file helpers: every input is read through `read_input`, so an
+"""Small file helpers: every input is parsed through `read_input`, so an
 error in it names the file, and every output is written atomically, so a
-failing run never leaves a partial file behind."""
+failing run never leaves a partial file behind. The parse cache also hashes
+inputs in fixed chunks (`file_sha256`) and maps its own entries read-only
+(`map_optional_bytes`), so a cache hit never holds a whole file in memory."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import mmap
 import os
 import tempfile
 from pathlib import Path
@@ -40,10 +44,35 @@ def as_text(source: str | bytes) -> str:
     return source if isinstance(source, str) else source.decode("utf-8")
 
 
-def read_optional_bytes(path: str | Path) -> bytes | None:
-    """The bytes of `path`, or None when it does not exist."""
+# `file_sha256` reads a file through one buffer of this many bytes.
+_DIGEST_CHUNK = 1 << 18
+
+
+def file_sha256(path: str | Path) -> bytes:
+    """The sha256 digest of the bytes of `path`, read in fixed chunks into
+    one reused buffer (`hashlib.file_digest` needs Python 3.11)."""
+    digest = hashlib.sha256()
+    buf = bytearray(_DIGEST_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.digest()
+
+
+def map_optional_bytes(path: str | Path) -> mmap.mmap | None:
+    """A read-only map of the bytes of `path`, or None when it does not
+    exist or is empty (an empty file cannot be mapped).
+
+    The map closes when the last object viewing it is freed. Map only files
+    that are replaced by rename, never rewritten in place: reading a page
+    that a truncation removed kills the process (SIGBUS).
+    """
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size == 0:
+                return None
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except FileNotFoundError:
         return None
 

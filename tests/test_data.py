@@ -289,7 +289,9 @@ def fill_channels(draw):
     """1-3 channels of strictly increasing stamps around one base second (0,
     negative, or about 2**40), each over its own support, with fractional
     stamps and any finite values; sometimes one channel but the first ends
-    with a stamp far past every grid."""
+    with a stamp far past every grid. Sometimes every channel, or one of
+    several, has exactly the grid's stamps, which `align_and_fill` takes as
+    they are."""
     base = draw(st.sampled_from([0, -1000, -2**40, 2**40, 1_600_000_000]))
     frac = st.sampled_from([0.0, 0.25, 0.5, 1 - 2**-10]) | \
         st.floats(0, 1, exclude_max=True)
@@ -300,6 +302,20 @@ def fill_channels(draw):
         channels.append(ts)
     if len(channels) > 1 and draw(st.booleans()):
         channels[-1].append(1e300)
+    on_grid = draw(st.sampled_from(["none", "all", "one"]))
+    if on_grid == "all":
+        first = draw(st.integers(-30, 30))
+        seconds = range(first, draw(st.integers(first, 30)) + 1)
+        channels = [[float(base + sec) for sec in seconds] for _ in channels]
+    elif on_grid == "one" and len(channels) > 1:
+        # inside the others' grid, this channel's seconds are the grid
+        j = draw(st.integers(0, len(channels) - 1))
+        others = channels[:j] + channels[j + 1:]
+        start = max(math.ceil(ts[0]) for ts in others)
+        end = min([math.ceil(ts[-1]) for ts in others] + [start + 30])
+        if start <= end:
+            first = draw(st.integers(start, end))
+            channels[j] = [float(sec) for sec in range(first, draw(st.integers(first, end)) + 1)]
     return [(ts, draw(st.lists(finite | st.just(-0.0), min_size=len(ts), max_size=len(ts))))
             for ts in channels]
 
@@ -392,6 +408,9 @@ class TestAlignAndFill:
                          for second in range(start, end + 1)], dtype=np.float64)
         assert frame.timestamps.tobytes() == np.arange(start, end + 1, dtype=np.int64).tobytes()
         assert frame.values.tobytes() == want.reshape(frame.values.shape).tobytes()
+        if len(series) == 1 and np.array_equal(series[0].timestamps, frame.timestamps):
+            # a lone on-grid channel is viewed, not copied
+            assert np.shares_memory(frame.values, series[0].values)
 
 
 class TestChronologicalSplit:

@@ -115,6 +115,22 @@ class TestDetectCurrentDrops:
         with pytest.raises(DataError):
             faults.detect_current_drops(s, 10.0)
 
+    @given(values=st.lists(st.sampled_from([0.0, 9.999, 10.0, 90.0]), min_size=1, max_size=40),
+           start=st.integers(-2**40, 2**40))
+    def test_int64_stamps_give_the_events_of_their_float_copy(self, values, start):
+        floats = current_series(values, start=start)
+        ints = RawSeries("current", floats.timestamps.astype(np.int64), floats.values)
+        assert faults.detect_current_drops(ints, 10.0) == \
+            faults.detect_current_drops(floats, 10.0)
+
+    @pytest.mark.parametrize("gap_at", [1, 3, 5])
+    def test_int64_stamps_with_a_gap_rejected(self, gap_at):
+        ts = np.arange(6, dtype=np.int64) + 1_600_000_000
+        ts[gap_at:] += 1
+        for stamps in (ts, ts.astype(np.float64)):
+            with pytest.raises(DataError, match="^current series must be aligned at 1 Hz$"):
+                faults.detect_current_drops(RawSeries("current", stamps, np.ones(6)), 10.0)
+
     def test_threshold_is_strict(self):
         events = faults.detect_current_drops(current_series([10.0, 9.999, 10.0]), 10.0)
         assert events == [FaultEvent(1, 1, "current_drop")]

@@ -1,7 +1,9 @@
-"""Tests for the input reader, which hands parsers bytes, and the atomic
-writers: content, encoding, replacement, file mode and clean-up after a
-failure inside the `with` block."""
+"""Tests for the input reader, which hands parsers bytes, the parse cache's
+chunked digest and read-only map, and the atomic writers: content, encoding,
+replacement, file mode and clean-up after a failure inside the `with`
+block."""
 
+import hashlib
 import os
 import stat
 
@@ -9,9 +11,10 @@ import pytest
 
 import numpy as np
 
+from beamwatch import ioutil
 from beamwatch.errors import DataError, ParseError
 from beamwatch.ioutil import (as_text, atomic_write_bytes, atomic_write_text, atomic_writer,
-                              read_input, read_optional_bytes)
+                              file_sha256, map_optional_bytes, read_input)
 
 
 @pytest.fixture
@@ -84,10 +87,23 @@ def test_failed_binary_write_keeps_old_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["entry"]
 
 
-def test_read_optional_bytes(tmp_path):
-    assert read_optional_bytes(tmp_path / "missing") is None
-    (tmp_path / "there").write_bytes(b"\x00\xff")
-    assert read_optional_bytes(tmp_path / "there") == b"\x00\xff"
+def test_map_optional_bytes(tmp_path):
+    assert map_optional_bytes(tmp_path / "missing") is None
+    (tmp_path / "empty").write_bytes(b"")
+    assert map_optional_bytes(tmp_path / "empty") is None
+    (tmp_path / "there").write_bytes(b"\x00\xff" * 5000)
+    mapped = map_optional_bytes(tmp_path / "there")
+    assert mapped[:] == b"\x00\xff" * 5000
+    with pytest.raises(TypeError):
+        mapped[0] = 1
+
+
+@pytest.mark.parametrize("size", [0, 1, ioutil._DIGEST_CHUNK - 1, ioutil._DIGEST_CHUNK,
+                                  3 * ioutil._DIGEST_CHUNK + 5])
+def test_file_sha256_equals_the_digest_of_the_bytes(tmp_path, size):
+    raw = np.random.default_rng(size).bytes(size)
+    (tmp_path / "in").write_bytes(raw)
+    assert file_sha256(tmp_path / "in") == hashlib.sha256(raw).digest()
 
 
 def test_read_input_hands_over_the_bytes(tmp_path):

@@ -81,7 +81,7 @@ def test_cli_opens_every_file_with_an_encoding(tmp_path):
 
 
 FILE_CALLS = {"open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes",
-              "tofile"}
+              "tofile", "mmap", "readinto"}
 # numpy's path-taking I/O; np.loadtxt is given a BytesIO, never a path
 NUMPY_FILE_CALLS = {"save", "savez", "savez_compressed", "load", "fromfile", "savetxt",
                     "memmap"}
@@ -108,17 +108,19 @@ def file_calls(source: str) -> set[str]:
 def test_file_call_scan_sees_numpy_io():
     source = ("np.save(p, a)\nnumpy.load(p)\nnp.fromfile(p)\na.tofile(p)\n"
               "np.savetxt(p, a)\nmemmap(p)\nnp.loadtxt(io.BytesIO(b))\n"
-              "json.loads(s)\nmodel.load(p)\nopen(p)\n")
+              "json.loads(s)\nmodel.load(p)\nopen(p)\nmmap.mmap(fd, 0)\n"
+              "fh.readinto(buf)\n")
     assert file_calls(source) == {"np.save", "np.load", "np.fromfile", "tofile",
-                                  "np.savetxt", "np.memmap", "open"}
+                                  "np.savetxt", "np.memmap", "open", "mmap", "readinto"}
 
 
 def test_only_ioutil_touches_files():
-    # every input goes through ioutil.read_input, every output through its writer
+    # every input, cache entry and output goes through ioutil
     calls = set()
     for path in Path(beamwatch.__file__).parent.glob("*.py"):
         calls |= {(path.name, name) for name in file_calls(path.read_text(encoding="utf-8"))}
-    assert {("ioutil.py", "read_bytes"), ("ioutil.py", "fdopen")} <= calls
+    assert {("ioutil.py", "read_bytes"), ("ioutil.py", "fdopen"), ("ioutil.py", "mmap"),
+            ("ioutil.py", "readinto")} <= calls
     assert {module for module, _ in calls} == {"ioutil.py"}, sorted(calls)
 
 

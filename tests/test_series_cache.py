@@ -20,7 +20,7 @@ from beamwatch import cli, data
 from beamwatch.config import RunConfig
 from beamwatch.errors import BeamwatchError, OrderError, ParseError
 
-from test_data import parse_outcome, series_texts
+from test_data import parse_outcome, series_texts, traced_peak
 
 TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.5,-3e-300\n"
 
@@ -84,10 +84,37 @@ def test_hit_arrays_are_read_only_views(box):
     with no_parse():
         hit = read(path, out)
     assert not hit.timestamps.flags.writeable and not hit.values.flags.writeable
-    # every stage after the read copies what it keeps
+    # off the grid, alignment fills a fresh array
     frame = data.align_and_fill([hit])
     assert frame.values.flags.writeable
     assert frame.values[:, 0].tolist() == [1.5, 2.5, 2.5, -3e-300]
+
+
+def test_on_grid_hit_is_aligned_in_place(box):
+    path, out = box
+    path.write_text("timestamp,value\n7,1.5\n8,2.5\n9,-3e-300\n")
+    read(path, out)
+    with no_parse():
+        hit = read(path, out)
+    frame = data.align_and_fill([hit])
+    # the frame views the mapped entry; no later stage writes into it
+    assert np.shares_memory(frame.values, hit.values) and not frame.values.flags.writeable
+    assert frame.timestamps.tolist() == [7, 8, 9]
+    assert frame.values[:, 0].tolist() == [1.5, 2.5, -3e-300]
+
+
+def test_hit_never_holds_the_file_in_memory(tmp_path):
+    path, out = tmp_path / "current.csv", tmp_path / "out"
+    n = 200_000
+    series = data.RawSeries("current", np.arange(1.6e9, 1.6e9 + n),
+                            np.random.default_rng(5).uniform(0, 100, n))
+    with path.open("w") as fh:
+        data.format_series_csv(series, fh)
+    miss = read(path, out)
+    with no_parse():
+        hit, peak = traced_peak(lambda: read(path, out))
+    assert arrays(hit) == arrays(miss)
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_one_changed_byte_reparses(box):
