@@ -5,6 +5,10 @@ A window of k seconds and m channels is compressed into the encoder's final
 hidden state and reconstructed back to a k x m matrix; training minimizes
 the mean absolute reconstruction error with Adam.
 
+The three weight layers are listed once, in `_LAYERS`: the flat parameter
+and gradient dicts and the model file's layer sections all walk that table
+and each layer class's `TENSORS`.
+
 Training and inference run the same batched forward from `nn`. Its edges
 are time-major ([k, n, m] windows in, reconstructions out); inside, every
 array is feature-major, one column per window. Training applies the dropout
@@ -20,7 +24,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +99,14 @@ class Provenance:
                               f"got {self.n_windows!r}")
 
 
+# The artifact's layers: its field (also the layer's section of the model
+# file), the prefix of the layer's tensors in the flat parameter and
+# gradient dicts, and the layer's class.
+_LAYERS = (("encoder_lstm", "encoder", nn.LstmLayerParams),
+           ("decoder_lstm", "decoder", nn.LstmLayerParams),
+           ("output_dense", "dense", nn.DenseParams))
+
+
 @dataclass(frozen=True)
 class ModelArtifact:
     """Weights plus the normalization stats and threshold needed to apply
@@ -127,19 +139,12 @@ class ModelArtifact:
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Flat name -> tensor dict for the optimizer and gradient oracle."""
-        out: dict[str, np.ndarray] = {}
-        out.update(self.encoder_lstm.tensors("encoder"))
-        out.update(self.decoder_lstm.tensors("decoder"))
-        out.update(self.output_dense.tensors("dense"))
-        return out
+        return {name: tensor for field, prefix, _ in _LAYERS
+                for name, tensor in getattr(self, field).tensors(prefix).items()}
 
     def with_parameters(self, tensors: dict[str, np.ndarray]) -> "ModelArtifact":
-        return replace(
-            self,
-            encoder_lstm=self.encoder_lstm.with_tensors("encoder", tensors),
-            decoder_lstm=self.decoder_lstm.with_tensors("decoder", tensors),
-            output_dense=self.output_dense.with_tensors("dense", tensors),
-        )
+        return replace(self, **{field: getattr(self, field).with_tensors(prefix, tensors)
+                                for field, prefix, _ in _LAYERS})
 
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
@@ -284,16 +289,10 @@ def _backward_batch(model: ModelArtifact, d_recon_tm: np.ndarray, cache) -> dict
         d_latent *= cache["latent_mask"].T
     enc_grads = nn.lstm_backward_batch(cache["enc_cache"], model.encoder_lstm,
                                        d_h_last=d_latent)
-    return {
-        "encoder.input_kernel": enc_grads["input_kernel"],
-        "encoder.recurrent_kernel": enc_grads["recurrent_kernel"],
-        "encoder.bias": enc_grads["bias"],
-        "decoder.input_kernel": dec_grads["input_kernel"],
-        "decoder.recurrent_kernel": dec_grads["recurrent_kernel"],
-        "decoder.bias": dec_grads["bias"],
-        "dense.weight": g_dense_w,
-        "dense.bias": g_dense_b,
-    }
+    grads = {"encoder_lstm": enc_grads, "decoder_lstm": dec_grads,
+             "output_dense": {"weight": g_dense_w, "bias": g_dense_b}}
+    return {f"{prefix}.{name}": grads[field][name]
+            for field, prefix, cls in _LAYERS for name in cls.TENSORS}
 
 
 def batch_loss_and_grads(model: ModelArtifact, batch: np.ndarray,
@@ -386,16 +385,6 @@ def _tensor_from_doc(doc, name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _lstm_to_doc(p: nn.LstmLayerParams) -> dict:
-    return {
-        "input_dim": p.input_dim,
-        "hidden_dim": p.hidden_dim,
-        "input_kernel": _tensor_to_doc(p.input_kernel),
-        "recurrent_kernel": _tensor_to_doc(p.recurrent_kernel),
-        "bias": _tensor_to_doc(p.bias),
-    }
-
-
 def _json_int(value, name: str) -> int:
     if type(value) is not int:  # rejects bool, float and str
         raise ParseError(f"{name} must be a JSON integer, got {json.dumps(value)}")
@@ -426,33 +415,21 @@ def _json_strings(value, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _lstm_from_doc(doc: dict, name: str) -> nn.LstmLayerParams:
+def _layer_to_doc(layer) -> dict:
+    """A layer's model-file section: its fields in order, each of its
+    TENSORS as a tensor doc and the others (its dimensions) as they are."""
+    doc = {f.name: getattr(layer, f.name) for f in fields(layer)}
+    return doc | {name: _tensor_to_doc(doc[name]) for name in layer.TENSORS}
+
+
+def _layer_from_doc(cls, doc: dict, section: str):
+    """Read a `cls` layer from its section: each of its TENSORS as a tensor
+    doc, each other field as a JSON integer; errors name the section."""
     try:
-        return nn.LstmLayerParams(
-            input_dim=_json_int(doc["input_dim"], f"{name}.input_dim"),
-            hidden_dim=_json_int(doc["hidden_dim"], f"{name}.hidden_dim"),
-            input_kernel=_tensor_from_doc(doc["input_kernel"], f"{name}.input_kernel"),
-            recurrent_kernel=_tensor_from_doc(doc["recurrent_kernel"],
-                                              f"{name}.recurrent_kernel"),
-            bias=_tensor_from_doc(doc["bias"], f"{name}.bias"),
-        )
+        return cls(**{f.name: (_tensor_from_doc if f.name in cls.TENSORS else _json_int)(
+            doc[f.name], f"{section}.{f.name}") for f in fields(cls)})
     except (ShapeError, NumericError) as exc:
-        raise ParseError(f"{name}: {exc}") from None
-
-
-def _dense_from_doc(doc: dict, name: str) -> nn.DenseParams:
-    try:
-        return nn.DenseParams(weight=_tensor_from_doc(doc["weight"], f"{name}.weight"),
-                              bias=_tensor_from_doc(doc["bias"], f"{name}.bias"))
-    except (ShapeError, NumericError) as exc:
-        raise ParseError(f"{name}: {exc}") from None
-
-
-def _provenance_from_doc(doc) -> Provenance | None:
-    if doc is None:
-        return None
-    return Provenance(beamwatch_version=doc["beamwatch_version"],
-                      train_span=tuple(doc["train_span"]), n_windows=doc["n_windows"])
+        raise ParseError(f"{section}: {exc}") from None
 
 
 def model_to_json(model: ModelArtifact) -> str:
@@ -466,30 +443,15 @@ def model_to_json(model: ModelArtifact) -> str:
     prov = model.provenance
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "window_k": model.config.window_k,
-            "feature_m": model.config.feature_m,
-            "hidden_dim": model.config.hidden_dim,
-            "dropout_rate": model.config.dropout_rate,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "channel_stats": None if stats is None else {
             "channels": list(stats.channels),
             "mean": stats.mean.tolist(),
             "std": stats.std.tolist(),
         },
         "threshold": model.threshold,
-        "provenance": None if prov is None else {
-            "beamwatch_version": prov.beamwatch_version,
-            "train_span": list(prov.train_span),
-            "n_windows": prov.n_windows,
-        },
-        "encoder_lstm": _lstm_to_doc(model.encoder_lstm),
-        "decoder_lstm": _lstm_to_doc(model.decoder_lstm),
-        "output_dense": {
-            "weight": _tensor_to_doc(model.output_dense.weight),
-            "bias": _tensor_to_doc(model.output_dense.bias),
-        },
+        "provenance": None if prov is None else asdict(prov),
+        **{field: _layer_to_doc(getattr(model, field)) for field, _, _ in _LAYERS},
     }
     return json.dumps(doc, allow_nan=False)
 
@@ -534,15 +496,13 @@ def model_from_json(text: str | bytes) -> ModelArtifact:
         threshold = doc["threshold"]
         if threshold is not None:
             threshold = _json_number(threshold, "threshold")
-        return ModelArtifact(
-            config=config,
-            encoder_lstm=_lstm_from_doc(doc["encoder_lstm"], "encoder_lstm"),
-            decoder_lstm=_lstm_from_doc(doc["decoder_lstm"], "decoder_lstm"),
-            output_dense=_dense_from_doc(doc["output_dense"], "output_dense"),
-            channel_stats=stats,
-            threshold=threshold,
-            provenance=_provenance_from_doc(doc["provenance"]),
-        )
+        layers = {field: _layer_from_doc(cls, doc[field], field) for field, _, cls in _LAYERS}
+        prov = doc["provenance"]
+        provenance = None if prov is None else Provenance(
+            beamwatch_version=prov["beamwatch_version"],
+            train_span=tuple(prov["train_span"]), n_windows=prov["n_windows"])
+        return ModelArtifact(config=config, **layers, channel_stats=stats,
+                             threshold=threshold, provenance=provenance)
     except (KeyError, TypeError, ValueError, BeamwatchError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None
 

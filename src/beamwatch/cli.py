@@ -24,7 +24,7 @@ from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
 from .errors import BeamwatchError, ConfigError, DataError
 from .ioutil import (atomic_write_bytes, atomic_write_text, atomic_writer, file_sha256,
-                     map_optional_bytes, read_input)
+                     map_optional_bytes, read_input, remove_file)
 
 
 # A parse-cache entry: this tag, the sha256 of the input bytes, the row
@@ -125,8 +125,7 @@ def cmd_synth(cfg: RunConfig) -> None:
             f"synth produces {len(frame.channels)} channels but config names "
             f"{len(cfg.series_files)} series files"
         )
-    stamps = frame.timestamps.astype(float)
-    outputs = [(path, data.RawSeries(name, stamps, frame.values[:, idx]))
+    outputs = [(path, data.RawSeries(name, frame.timestamps, frame.values[:, idx]))
                for idx, (path, name) in enumerate(zip(cfg.series_files, frame.channels))]
     for path, series in outputs + [(cfg.current_file, current)]:
         with atomic_writer(path) as fh:
@@ -201,11 +200,17 @@ def cmd_detect(cfg: RunConfig) -> None:
 
     errors = ae.reconstruction_errors(model, ws.windows)
     flagged = detect.flag_anomalies(errors, ws.end_timestamps, model.threshold)
+    # merge (which checks merge_max_gap) before writing, so that a failing
+    # run leaves the earlier outputs as they were
+    events = None if cfg.merge_max_gap is None else \
+        detect.merge_consecutive_anomalies(flagged, cfg.merge_max_gap)
     out = Path(cfg.output_dir)
     atomic_write_text(out / "anomalies.csv", detect.format_anomaly_csv(flagged))
     message = f"detect: {len(flagged)} anomalies in {len(ws)} windows"
-    if cfg.merge_max_gap is not None:
-        events = detect.merge_consecutive_anomalies(flagged, cfg.merge_max_gap)
+    if events is None:
+        # an earlier run's events would not match these anomalies
+        remove_file(out / "anomaly_events.csv")
+    else:
         atomic_write_text(out / "anomaly_events.csv", detect.format_event_csv(events))
         message += f", merged into {len(events)} events"
     print(message + f" -> {out}")

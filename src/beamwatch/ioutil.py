@@ -1,6 +1,7 @@
 """Small file helpers: every input is parsed through `read_input`, so an
 error in it names the file, and every output is written atomically, so a
-failing run never leaves a partial file behind. The parse cache also hashes
+failing run never leaves a partial file behind (`remove_file` deletes an
+output that a run makes stale). The parse cache also hashes
 inputs in fixed chunks (`file_sha256`) and maps its own entries read-only
 (`map_optional_bytes`), so a cache hit never holds a whole file in memory."""
 
@@ -115,3 +116,8 @@ def atomic_write_bytes(path: str | Path, *chunks) -> None:
     with atomic_writer(path, binary=True) as fh:
         for chunk in chunks:
             fh.write(chunk)
+
+
+def remove_file(path: str | Path) -> None:
+    """Delete `path`; a path that does not exist is left as it is."""
+    Path(path).unlink(missing_ok=True)

@@ -2,10 +2,11 @@
 MAE loss, Adam, and a finite-difference gradient oracle.
 
 All arithmetic is double precision. Gate weights are packed along the first
-axis in the fixed order (input, forget, candidate, output). Parameter
-collections handed to the optimizer and the gradient oracle are flat dicts
-mapping tensor names to arrays; gradient sets mirror those dicts shape for
-shape.
+axis in the fixed order (input, forget, candidate, output). Each layer class
+names its weight tensors once, in its `TENSORS` tuple, and one shared
+`tensors`/`with_tensors` pair maps it to and from the flat dicts, keyed
+`<prefix>.<name>`, that the optimizer and the gradient oracle take;
+gradient sets mirror those dicts shape for shape.
 
 The feature-major `*_batch` / `*_repeat` ops stack many sequences into one
 matrix product per timestep, one column per sequence, and are the only path
@@ -19,8 +20,8 @@ oracles live with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -40,14 +41,32 @@ def _as_f64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
+class _LayerParams:
+    """A layer's weights; the subclass names its weight tensors, in field
+    order, in TENSORS. Its other dataclass fields are integer dimensions."""
+
+    TENSORS: ClassVar[tuple[str, ...]] = ()
+
+    def tensors(self, prefix: str) -> dict[str, np.ndarray]:
+        """The weight tensors keyed `<prefix>.<name>`."""
+        return {f"{prefix}.{name}": getattr(self, name) for name in self.TENSORS}
+
+    def with_tensors(self, prefix: str, tensors: dict[str, np.ndarray]):
+        """A copy whose weights are the `<prefix>.<name>` entries of
+        `tensors`, checked again by `__post_init__`."""
+        return replace(self, **{name: tensors[f"{prefix}.{name}"] for name in self.TENSORS})
+
+
 @dataclass(frozen=True)
-class LstmLayerParams:
+class LstmLayerParams(_LayerParams):
     """Packed weights of one LSTM layer.
 
     input_kernel:     [4*hidden_dim, input_dim]
     recurrent_kernel: [4*hidden_dim, hidden_dim]
     bias:             [4*hidden_dim]
     """
+
+    TENSORS = ("input_kernel", "recurrent_kernel", "bias")
 
     input_dim: int
     hidden_dim: int
@@ -71,30 +90,16 @@ class LstmLayerParams:
             )
         if self.bias.shape != (h4,):
             raise ShapeError(f"bias shape {self.bias.shape}, expected {(h4,)}")
-        for name in ("input_kernel", "recurrent_kernel", "bias"):
+        for name in self.TENSORS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NumericError(f"non-finite entries in {name}")
 
-    def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.input_kernel": self.input_kernel,
-            f"{prefix}.recurrent_kernel": self.recurrent_kernel,
-            f"{prefix}.bias": self.bias,
-        }
-
-    def with_tensors(self, prefix: str, tensors: dict[str, np.ndarray]) -> "LstmLayerParams":
-        return LstmLayerParams(
-            input_dim=self.input_dim,
-            hidden_dim=self.hidden_dim,
-            input_kernel=tensors[f"{prefix}.input_kernel"],
-            recurrent_kernel=tensors[f"{prefix}.recurrent_kernel"],
-            bias=tensors[f"{prefix}.bias"],
-        )
-
 
 @dataclass(frozen=True)
-class DenseParams:
+class DenseParams(_LayerParams):
     """Affine layer: y = weight @ x + bias, weight [out_dim, in_dim]."""
+
+    TENSORS = ("weight", "bias")
 
     weight: np.ndarray
     bias: np.ndarray
@@ -117,12 +122,6 @@ class DenseParams:
     @property
     def out_dim(self) -> int:
         return self.weight.shape[0]
-
-    def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
-
-    def with_tensors(self, prefix: str, tensors: dict[str, np.ndarray]) -> "DenseParams":
-        return DenseParams(weight=tensors[f"{prefix}.weight"], bias=tensors[f"{prefix}.bias"])
 
 
 # ---------------------------------------------------------------------------

@@ -572,6 +572,21 @@ class TestTensorPayloads:
         doc = ae._tensor_to_doc(np.array([1.0]))
         assert doc == {"shape": [1], "f8le": "AAAAAAAA8D8="}
 
+    def test_document_key_order(self):
+        prov = ae.Provenance("0.1.0", (3600, 5399), 1771)
+        doc = json.loads(ae.model_to_json(dataclasses.replace(ae.init_model(TINY),
+                                                              provenance=prov)))
+        assert list(doc) == ["schema_version", "config", "channel_stats", "threshold",
+                             "provenance", "encoder_lstm", "decoder_lstm", "output_dense"]
+        assert list(doc["config"]) == ["window_k", "feature_m", "hidden_dim",
+                                       "dropout_rate", "seed"]
+        assert list(doc["provenance"]) == ["beamwatch_version", "train_span", "n_windows"]
+        for section in ("encoder_lstm", "decoder_lstm"):
+            assert list(doc[section]) == ["input_dim", "hidden_dim",
+                                          *nn.LstmLayerParams.TENSORS]
+        assert nn.LstmLayerParams.TENSORS == ("input_kernel", "recurrent_kernel", "bias")
+        assert list(doc["output_dense"]) == ["weight", "bias"]
+
     def test_provenance_round_trip(self):
         prov = ae.Provenance("0.1.0", (3600, 5399), 1771)
         model = dataclasses.replace(ae.init_model(TINY), provenance=prov)

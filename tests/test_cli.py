@@ -186,6 +186,25 @@ class TestPipeline:
                      "--set", f"model_file={tmp_path / 'bare.json'}"])
         assert code == 1
 
+    def test_bad_merge_gap_writes_nothing(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "detectout"
+        code = main(["detect", "--config", str(pipeline_dir / "run.cfg"),
+                     "--set", f"output_dir={out}", "--set", "merge_max_gap=-1"])
+        assert code == 1
+        assert "max_gap must be >= 0, got -1" in capsys.readouterr().err
+        assert not (out / "anomalies.csv").exists()
+        assert not (out / "anomaly_events.csv").exists()
+
+    def test_unmerged_detect_removes_stale_events(self, pipeline_dir, tmp_path):
+        out = tmp_path / "detectout"
+        args = ["detect", "--config", str(pipeline_dir / "run.cfg"), "--set", f"output_dir={out}"]
+        assert main(args) == 0
+        assert (out / "anomaly_events.csv").exists()
+        for _ in range(2):  # the second run has no events file to remove
+            assert main(args + ["--set", "merge_max_gap="]) == 0
+            assert (out / "anomalies.csv").exists()
+            assert not (out / "anomaly_events.csv").exists()
+
     def test_no_partial_outputs_on_failure(self, pipeline_dir, tmp_path, capsys):
         # malformed anomalies.csv: eval must fail without writing any report
         out = tmp_path / "evalout"

@@ -244,15 +244,21 @@ F8_EDGES = [0.0, -0.0, 5e-324, -2.5e-310, F8_MAX, -F8_MAX]
 def format_cases(draw):
     """A RawSeries whose length sits around the block size, with stamps on an
     integer, fractional, subnormal or huge grid (1e296 steps reach 8e299,
-    where str(int(t)) runs to 300 digits) and values over the whole double
-    range."""
+    where str(int(t)) runs to 300 digits), or int64 stamps out to about
+    -2**62, and values over the whole double range."""
     n = draw(st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]) | st.integers(0, 40))
-    scale = draw(st.sampled_from([1.0, 0.1, 0.375, 3.0, 2.5e-310, 1e296]))
     shift = draw(st.integers(0, n))
-    jitter = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.1, 0.49]), min_size=1, max_size=7))
-    ts = (np.arange(n) - shift) * scale + scale * np.resize(jitter, n)
-    if draw(st.booleans()):
-        ts[ts == 0.0] = -0.0
+    if draw(st.integers(0, 3)) == 0:
+        step = draw(st.sampled_from([1, 7, 2**40]))
+        base = draw(st.sampled_from([0, 1_600_000_000, -2**62]))
+        ts = base + (np.arange(n, dtype=np.int64) - shift) * step
+    else:
+        scale = draw(st.sampled_from([1.0, 0.1, 0.375, 3.0, 2.5e-310, 1e296]))
+        jitter = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.1, 0.49]),
+                               min_size=1, max_size=7))
+        ts = (np.arange(n) - shift) * scale + scale * np.resize(jitter, n)
+        if draw(st.booleans()):
+            ts[ts == 0.0] = -0.0
     pool = draw(st.lists(finite | st.sampled_from(F8_EDGES), min_size=1, max_size=20))
     return data.RawSeries("ch", ts, np.resize(np.array(pool, dtype=np.float64), n))
 

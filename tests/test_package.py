@@ -81,7 +81,7 @@ def test_cli_opens_every_file_with_an_encoding(tmp_path):
 
 
 FILE_CALLS = {"open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes",
-              "tofile", "mmap", "readinto"}
+              "tofile", "mmap", "readinto", "unlink"}
 # numpy's path-taking I/O; np.loadtxt is given a BytesIO, never a path
 NUMPY_FILE_CALLS = {"save", "savez", "savez_compressed", "load", "fromfile", "savetxt",
                     "memmap"}
@@ -109,9 +109,10 @@ def test_file_call_scan_sees_numpy_io():
     source = ("np.save(p, a)\nnumpy.load(p)\nnp.fromfile(p)\na.tofile(p)\n"
               "np.savetxt(p, a)\nmemmap(p)\nnp.loadtxt(io.BytesIO(b))\n"
               "json.loads(s)\nmodel.load(p)\nopen(p)\nmmap.mmap(fd, 0)\n"
-              "fh.readinto(buf)\n")
+              "fh.readinto(buf)\nPath(p).unlink()\n")
     assert file_calls(source) == {"np.save", "np.load", "np.fromfile", "tofile",
-                                  "np.savetxt", "np.memmap", "open", "mmap", "readinto"}
+                                  "np.savetxt", "np.memmap", "open", "mmap", "readinto",
+                                  "unlink"}
 
 
 def test_only_ioutil_touches_files():
