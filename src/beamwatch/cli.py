@@ -87,7 +87,8 @@ def _read_current(cfg: RunConfig) -> data.AlignedFrame:
 
 def _ground_truth(cfg: RunConfig, current: data.AlignedFrame) -> list[faults.FaultEvent]:
     lists = [read_input(p, faults.parse_fault_events) for p in cfg.fault_files]
-    series = data.RawSeries(current.channels[0], current.timestamps, current.values[:, 0])
+    series = data._unchecked(data.RawSeries, current.channels[0], current.timestamps,
+                             current.values[:, 0])
     lists.append(faults.detect_current_drops(series, cfg.current_drop_threshold))
     return faults.merge_event_lists(lists, cfg.coalesce_gap)
 

@@ -16,7 +16,7 @@ import contextlib
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -44,7 +44,7 @@ class RawSeries:
             raise ShapeError("timestamps and values must be 1-D arrays of equal length")
         if not np.all(np.isfinite(self.timestamps)):
             raise DataError(f"channel {self.channel_name!r}: non-finite timestamps")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise OrderError(f"channel {self.channel_name!r}: timestamps not strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise DataError(f"channel {self.channel_name!r}: non-finite values")
@@ -74,7 +74,7 @@ class AlignedFrame:
             )
         if len(set(self.channels)) != len(self.channels):
             raise DataError(f"duplicate channel names: {self.channels}")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise OrderError("frame timestamps not strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise DataError("frame contains non-finite values")
@@ -114,11 +114,20 @@ class WindowSet:
             raise ShapeError(f"windows must be [n, k, m], got {self.windows.shape}")
         if self.end_timestamps.shape != (self.windows.shape[0],):
             raise ShapeError("one end timestamp per window required")
-        if len(self.end_timestamps) > 1 and not np.all(np.diff(self.end_timestamps) > 0):
+        if not np.all(self.end_timestamps[1:] > self.end_timestamps[:-1]):
             raise OrderError("window end timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return self.windows.shape[0]
+
+
+def _unchecked(cls, *values):
+    """`cls(*values)` without its `__post_init__` checks: the one path for a
+    series, frame or window set derived in the library from checked data."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeries:
@@ -269,7 +278,7 @@ def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:
         idx = np.cumsum(np.bincount(cells, minlength=n + 1)[:n]) - 1
         cols.append(s.values[idx])
     values = cols[0][:, None] if len(cols) == 1 else np.column_stack(cols)
-    return AlignedFrame(tuple(names), grid, values)
+    return _unchecked(AlignedFrame, tuple(names), grid, values)
 
 
 def chronological_split(frame: AlignedFrame, train_fraction: float = 0.5
@@ -280,9 +289,9 @@ def chronological_split(frame: AlignedFrame, train_fraction: float = 0.5
     if frame.n_rows == 0:
         raise DataError("cannot split an empty frame")
     n_train = math.floor(train_fraction * frame.n_rows)
-    train = AlignedFrame(frame.channels, frame.timestamps[:n_train], frame.values[:n_train])
-    test = AlignedFrame(frame.channels, frame.timestamps[n_train:], frame.values[n_train:])
-    return train, test
+    ts, values = frame.timestamps, frame.values
+    return (_unchecked(AlignedFrame, frame.channels, ts[:n_train], values[:n_train]),
+            _unchecked(AlignedFrame, frame.channels, ts[n_train:], values[n_train:]))
 
 
 def remove_fault_neighborhoods(frame: AlignedFrame,
@@ -300,7 +309,7 @@ def remove_fault_neighborhoods(frame: AlignedFrame,
         remove |= (frame.timestamps >= event.start - margin) & \
                   (frame.timestamps <= event.end + margin)
     keep = ~remove
-    return AlignedFrame(frame.channels, frame.timestamps[keep], frame.values[keep])
+    return _unchecked(AlignedFrame, frame.channels, frame.timestamps[keep], frame.values[keep])
 
 
 def compute_channel_stats(frame: AlignedFrame) -> ChannelStats:
@@ -339,4 +348,4 @@ def make_windows(frame: AlignedFrame, k: int = 30) -> WindowSet:
     if len(starts) == 0:
         raise DataError(f"no contiguous segment of length >= {k}")
     rows = np.lib.stride_tricks.sliding_window_view(frame.values, (k, frame.values.shape[1]))
-    return WindowSet(rows[starts, 0], ts[starts + k - 1])
+    return _unchecked(WindowSet, rows[starts, 0], ts[starts + k - 1])

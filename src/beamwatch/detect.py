@@ -177,8 +177,9 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
     per-second agreement between flagged seconds and match-interval seconds
     over the span. All three are read from two masks over the span's
     seconds: `predicted`, the flagged seconds, and `truth`, the match
-    intervals clipped to the span. The clip changes no count, since every
-    anomaly and fault lies in the span.
+    intervals clipped to the span; a fault's hit is a search of the sorted
+    flagged seconds. The clip changes no count, since every anomaly and
+    fault lies in the span.
 
     Zero-division conventions: with no anomalies, precision is 0 when faults
     exist and 1 otherwise; with no faults, recall is 1 (nothing was missed);
@@ -206,19 +207,17 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
     predicted = np.zeros(n_seconds, dtype=bool)
     predicted[seconds] = True
     # match intervals [lo, hi] as offsets into the span; `truth` is their
-    # union, from a difference array of run edges
+    # union, painted one interval at a time
     starts = np.array([f.start for f in faults], dtype=np.int64)
     ends = starts if mode == "lead_only" else np.array([f.end for f in faults], dtype=np.int64)
     lo = np.maximum(starts - lead_window - span_start, 0)
     hi = ends - span_start
-    edges = (np.bincount(lo, minlength=n_seconds + 1)
-             - np.bincount(hi + 1, minlength=n_seconds + 1))
-    truth = np.cumsum(edges[:n_seconds]) > 0
-    # flagged seconds before each second: a fault is hit when the count
-    # rises inside its match interval
-    flagged_before = np.zeros(n_seconds + 1, dtype=np.int64)
-    np.cumsum(predicted, out=flagged_before[1:])
-    fault_hit = flagged_before[hi + 1] > flagged_before[lo]
+    truth = np.zeros(n_seconds, dtype=bool)
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        truth[a:b + 1] = True
+    # a fault is hit when a flagged second lies in its match interval
+    flagged = np.flatnonzero(predicted)
+    fault_hit = np.searchsorted(flagged, hi, "right") > np.searchsorted(flagged, lo)
     matched_faults = [f for f, hit in zip(faults, fault_hit) if hit]
     matched_anoms = int(np.count_nonzero(truth[seconds]))
 
@@ -233,7 +232,7 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
         precision = 0.0 if faults else 1.0
     recall = tp / len(faults) if faults else 1.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    accuracy = float(np.mean(predicted == truth))
+    accuracy = np.count_nonzero(predicted == truth) / n_seconds
 
     return EvalReport(
         true_positives=tp,

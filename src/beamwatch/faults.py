@@ -105,12 +105,11 @@ def detect_current_drops(current: RawSeries, threshold: float) -> list[FaultEven
         aligned = np.all(ts == np.floor(ts)) and np.all(np.diff(ts) == 1)
     if not aligned:
         raise DataError("current series must be aligned at 1 Hz")
-    below = (current.values < threshold).astype(np.int8)
-    edges = np.diff(below, prepend=0, append=0)
-    firsts = np.flatnonzero(edges == 1)
-    lasts = np.flatnonzero(edges == -1) - 1
-    return [FaultEvent(int(ts[a]), int(ts[b]), SOURCE_CURRENT_DROP)
-            for a, b in zip(firsts, lasts)]
+    # the padded mask flips at the first row of each run and after its last
+    below = np.concatenate(([False], current.values < threshold, [False]))
+    flips = np.flatnonzero(below[1:] != below[:-1])
+    return [FaultEvent(int(a), int(b), SOURCE_CURRENT_DROP)
+            for a, b in zip(ts[flips[0::2]].tolist(), ts[flips[1::2] - 1].tolist())]
 
 
 def merge_event_lists(lists: Sequence[Iterable[FaultEvent]],

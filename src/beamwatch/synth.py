@@ -120,7 +120,7 @@ def generate_run(cfg: SynthConfig) -> tuple[AlignedFrame, RawSeries, list[FaultE
 
     frame = AlignedFrame(("wiresum", "xpos", "ypos"), t,
                          np.column_stack([wiresum, xpos, ypos]))
-    current_series = RawSeries("current", t.astype(np.float64), current)
+    current_series = RawSeries("current", t, current)
     return frame, current_series, faults
 
 

@@ -2,6 +2,8 @@
 removal, standardization and window construction, including brute-force
 oracles for the invariants."""
 
+import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -418,6 +420,14 @@ class TestAlignAndFill:
             # a lone on-grid channel is viewed, not copied
             assert np.shares_memory(frame.values, series[0].values)
 
+    def test_on_grid_float_channel_peaks_near_the_grid(self):
+        # the frame's int64 grid is the one archive-sized array it needs
+        n = 200_000
+        s = data.RawSeries("a", np.arange(n, dtype=np.float64) + 7.0, np.ones(n))
+        frame, peak = traced_peak(lambda: data.align_and_fill([s]))
+        assert np.shares_memory(frame.values, s.values)
+        assert peak < 10 * n, peak / n
+
 
 class TestChronologicalSplit:
     def test_even_split(self, rng):
@@ -453,6 +463,14 @@ class TestChronologicalSplit:
         empty = frame_of(np.empty(0, dtype=np.int64), np.empty((0, 1)))
         with pytest.raises(DataError):
             data.chronological_split(empty, 0.5)
+
+    def test_allocates_nothing_archive_sized(self):
+        n = 200_000
+        frame = frame_of(np.arange(n), np.zeros((n, 1)))
+        (train, test), peak = traced_peak(lambda: data.chronological_split(frame, 0.5))
+        assert np.shares_memory(train.values, frame.values)
+        assert np.shares_memory(test.timestamps, frame.timestamps)
+        assert peak < 10_000, peak
 
 
 class TestRemoveFaultNeighborhoods:
@@ -632,7 +650,16 @@ class TestMakeWindows:
             data.make_windows(frame, k=0)
 
 
+# Strictly increasing int64 stamps whose difference wraps to -1.
+INT64_EXTREMES = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+
+
 class TestRawSeriesValidation:
+    def test_int64_extremes_accepted(self):
+        data.RawSeries("a", INT64_EXTREMES, np.zeros(2))
+        with pytest.raises(OrderError, match="^channel 'a': timestamps not strictly increasing$"):
+            data.RawSeries("a", INT64_EXTREMES[::-1], np.zeros(2))
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_timestamp_rejected(self, bad):
         with pytest.raises(DataError, match="'a': non-finite timestamps"):
@@ -644,6 +671,11 @@ class TestRawSeriesValidation:
 
 
 class TestFrameValidation:
+    def test_int64_extremes_accepted(self):
+        data.AlignedFrame(("a",), INT64_EXTREMES, np.zeros((2, 1)))
+        with pytest.raises(OrderError, match="^frame timestamps not strictly increasing$"):
+            data.AlignedFrame(("a",), INT64_EXTREMES[::-1], np.zeros((2, 1)))
+
     def test_non_monotonic_rejected(self, rng):
         with pytest.raises(OrderError):
             frame_of([3, 2, 1], rng.standard_normal((3, 1)))
@@ -662,3 +694,54 @@ class TestFrameValidation:
         assert (np.flatnonzero(np.diff(frame.timestamps) > 1) + 1).tolist() == [3, 5]
         assert data.make_windows(frame, k=2).end_timestamps.tolist() == [1, 2, 11]
         assert data.make_windows(frame, k=3).end_timestamps.tolist() == [2]
+
+
+class TestWindowSetValidation:
+    def test_int64_extremes_accepted(self):
+        data.WindowSet(np.zeros((2, 1, 1)), INT64_EXTREMES)
+        with pytest.raises(OrderError, match="^window end timestamps not strictly increasing$"):
+            data.WindowSet(np.zeros((2, 1, 1)), INT64_EXTREMES[::-1])
+
+
+def assert_rebuilds(obj):
+    """The public constructor accepts `obj`'s fields and keeps them as they are."""
+    names = [f.name for f in dataclasses.fields(obj)]
+    again = type(obj)(*(getattr(obj, name) for name in names))
+    for name in names:
+        a, b = getattr(obj, name), getattr(again, name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b
+
+
+class TestDerivedFrames:
+    """Frames and window sets the library derives from checked data skip the
+    constructor checks; the checks must have nothing to reject in them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(channels=fill_channels(), fraction=st.floats(0.05, 1.0),
+           spans=st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 5)), max_size=3),
+           margin=st.integers(0, 3), k=st.integers(1, 6),
+           mean=st.floats(-10, 10), std=st.floats(1, 100))
+    def test_public_constructors_accept_them(self, channels, fraction, spans, margin, k,
+                                             mean, std):
+        series = [data.RawSeries(f"c{j}", np.array(ts), np.array(vals))
+                  for j, (ts, vals) in enumerate(channels)]
+        try:
+            frame = data.align_and_fill(series)
+        except DataError:  # supports that do not overlap
+            return
+        t0 = int(frame.timestamps[0])
+        events = [FaultEvent(t0 + s, t0 + s + d) for s, d in spans]
+        frames = [frame, *data.chronological_split(frame, fraction),
+                  data.remove_fault_neighborhoods(frame, events, margin)]
+        m = len(frame.channels)
+        stats = data.ChannelStats(frame.channels, np.full(m, mean), np.full(m, std))
+        frames += [data.standardize(f, stats) for f in frames]
+        derived = list(frames)
+        for f in frames:
+            with contextlib.suppress(DataError):  # no run of k consecutive seconds
+                derived.append(data.make_windows(f, k))
+        for obj in derived:
+            assert_rebuilds(obj)

@@ -11,6 +11,8 @@ from beamwatch.data import RawSeries
 from beamwatch.errors import ConfigError, DataError, ParseError, RangeError
 from beamwatch.faults import FaultEvent
 
+from test_data import traced_peak
+
 
 LABEL_CHARS = st.sampled_from("abcxyzABCXYZ0189_-.:")
 
@@ -130,6 +132,16 @@ class TestDetectCurrentDrops:
         for stamps in (ts, ts.astype(np.float64)):
             with pytest.raises(DataError, match="^current series must be aligned at 1 Hz$"):
                 faults.detect_current_drops(RawSeries("current", stamps, np.ones(6)), 10.0)
+
+    def test_peaks_at_a_few_bytes_per_sample(self):
+        n = 200_000
+        values = np.full(n, 90.0)
+        values[1000:1010] = values[150_000:150_100] = 0.0
+        series = RawSeries("current", np.arange(n, dtype=np.int64), values)
+        events, peak = traced_peak(lambda: faults.detect_current_drops(series, 10.0))
+        assert events == [FaultEvent(1000, 1009, "current_drop"),
+                          FaultEvent(150_000, 150_099, "current_drop")]
+        assert peak < 4 * n, peak / n
 
     def test_threshold_is_strict(self):
         events = faults.detect_current_drops(current_series([10.0, 9.999, 10.0]), 10.0)
