@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
@@ -225,31 +226,9 @@ def cmd_eval(cfg: RunConfig) -> None:
     truth = _ground_truth(cfg, current)
     test = _test_split(current, cfg.train_fraction)
     span = (int(test.timestamps[0]), int(test.timestamps[-1]))
-    clipped = [
-        replace(f, start=max(f.start, span[0]), end=min(f.end, span[1]))
-        for f in truth
-        if f.end >= span[0] and f.start <= span[1]
-    ]
-    report = detect.score_detections(anomalies, clipped, cfg.lead_window,
+    report = detect.score_detections(anomalies, truth, cfg.lead_window,
                                      cfg.scoring_mode, span)
-
-    doc = {
-        "mode": cfg.scoring_mode,
-        "lead_window": cfg.lead_window,
-        "frame_span": list(span),
-        "total_faults": report.total_faults,
-        "total_anomalies": report.total_anomalies,
-        "true_positives": report.true_positives,
-        "false_positives": report.false_positives,
-        "false_negatives": report.false_negatives,
-        "matched_anomalies": report.matched_anomalies,
-        "precision": report.precision,
-        "recall": report.recall,
-        "accuracy": report.accuracy,
-        "f1": report.f1,
-        "matched_faults": [[f.start, f.end] for f in report.matched_faults],
-    }
-    _write_report(out, "eval_report", "evaluation report", doc)
+    _write_report(out, "eval_report", "evaluation report", vars(report))
     print(f"eval: precision {report.precision:.3f} recall {report.recall:.3f} "
           f"accuracy {report.accuracy:.3f} f1 {report.f1:.3f}")
 
@@ -272,7 +251,10 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: `parse_args`
+    keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="beamwatch",
         description="LSTM-autoencoder anomaly detection for beam-monitor time series",
@@ -287,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, _parse_overrides(args.set))
         _COMMANDS[args.command](cfg)

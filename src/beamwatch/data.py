@@ -67,6 +67,10 @@ class AlignedFrame:
     values: np.ndarray      # float64 [n, m]
 
     def __post_init__(self):
+        if self.timestamps.ndim != 1:
+            raise ShapeError(f"frame timestamps must be 1-D, got shape {self.timestamps.shape}")
+        if not np.issubdtype(self.timestamps.dtype, np.integer):
+            raise DataError(f"frame timestamps must be integers, got {self.timestamps.dtype}")
         if self.values.ndim != 2 or self.values.shape != (len(self.timestamps), len(self.channels)):
             raise ShapeError(
                 f"values shape {self.values.shape} does not match "

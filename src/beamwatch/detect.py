@@ -77,19 +77,23 @@ class AnomalyEvent:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Event-matching counts and the derived metrics."""
+    """What `eval` reports, field for field: the keys of `eval_report.json`
+    in their order."""
 
+    mode: str
+    lead_window: int
+    frame_span: list[int]     # [first, last] scored epoch second
+    total_faults: int         # faults overlapping the span
+    total_anomalies: int
     true_positives: int       # faults with at least one matching anomaly
     false_positives: int      # anomalies matching no fault
     false_negatives: int      # faults with no matching anomaly
     matched_anomalies: int    # anomalies matching at least one fault
-    total_faults: int
-    total_anomalies: int
     precision: float
     recall: float
     accuracy: float
     f1: float
-    matched_faults: tuple[FaultEvent, ...]
+    matched_faults: list[list[int]]  # [start, end] of each hit fault, clipped
 
 
 def compute_threshold(training_errors: np.ndarray, multiplier: float = 3.0) -> DetectorThreshold:
@@ -155,16 +159,17 @@ def merge_consecutive_anomalies(points: np.ndarray | Iterable[AnomalyPoint],
 
 
 def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
-                     faults: Sequence[FaultEvent],
+                     faults: Iterable[FaultEvent],
                      lead_window: int = 10,
                      mode: str = "lead_only",
                      frame_span: tuple[int, int] | None = None) -> EvalReport:
-    """Score anomalies against fault ground truth.
+    """Score anomalies against fault ground truth over the evaluated span.
 
     Args:
         anomalies: flagged points, as an anomaly table or a sequence of
             AnomalyPoints, within frame_span.
-        faults: ground-truth fault intervals, within frame_span.
+        faults: ground-truth fault intervals, anywhere; each is scored as
+            its part inside frame_span, and one wholly outside is ignored.
         lead_window: seconds before a fault start that still count as
             detecting it.
         mode: "lead_only" matches anomalies in [start - lead, start];
@@ -172,19 +177,25 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
         frame_span: inclusive (first, last) epoch second of the evaluated
             data; the denominator of per-second accuracy.
 
+    A fault clipped at the span start is scored as starting there. An
+    anomaly outside the span raises DataError: the anomalies were flagged
+    over another span.
+
     A fault is detected if any anomaly falls in its match interval (counted
     once); an anomaly matching no fault is a false positive. Accuracy is the
     per-second agreement between flagged seconds and match-interval seconds
     over the span. All three are read from two masks over the span's
     seconds: `predicted`, the flagged seconds, and `truth`, the match
     intervals clipped to the span; a fault's hit is a search of the sorted
-    flagged seconds. The clip changes no count, since every anomaly and
-    fault lies in the span.
+    flagged seconds.
 
     Zero-division conventions: with no anomalies, precision is 0 when faults
     exist and 1 otherwise; with no faults, recall is 1 (nothing was missed);
     f1 is 0 when precision + recall is 0. An empty ground truth with no
     anomalies therefore scores as the vacuous perfect case.
+
+    Returns the report `eval` writes: the settings, the counts, the metrics
+    and the clipped [start, end] of each detected fault.
     """
     if lead_window < 0:
         raise ConfigError(f"lead_window must be >= 0, got {lead_window}")
@@ -198,9 +209,10 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
     if outside.any():
         s = int(stamps[np.argmax(outside)])
         raise DataError(f"anomaly [{s}, {s}] outside frame span")
-    for f in faults:
-        if f.start < span_start or f.end > span_end:
-            raise DataError(f"fault [{f.start}, {f.end}] outside frame span")
+    # each fault's part inside the span, clipped before any stamp meets int64
+    bounds = np.array([(max(f.start, span_start), min(f.end, span_end)) for f in faults
+                       if f.end >= span_start and f.start <= span_end],
+                      dtype=np.int64).reshape(-1, 2)
 
     n_seconds = span_end - span_start + 1
     seconds = stamps - span_start
@@ -208,44 +220,41 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
     predicted[seconds] = True
     # match intervals [lo, hi] as offsets into the span; `truth` is their
     # union, painted one interval at a time
-    starts = np.array([f.start for f in faults], dtype=np.int64)
-    ends = starts if mode == "lead_only" else np.array([f.end for f in faults], dtype=np.int64)
-    lo = np.maximum(starts - lead_window - span_start, 0)
-    hi = ends - span_start
+    lo = np.maximum(bounds[:, 0] - lead_window - span_start, 0)
+    hi = bounds[:, 0 if mode == "lead_only" else 1] - span_start
     truth = np.zeros(n_seconds, dtype=bool)
     for a, b in zip(lo.tolist(), hi.tolist()):
         truth[a:b + 1] = True
     # a fault is hit when a flagged second lies in its match interval
     flagged = np.flatnonzero(predicted)
     fault_hit = np.searchsorted(flagged, hi, "right") > np.searchsorted(flagged, lo)
-    matched_faults = [f for f, hit in zip(faults, fault_hit) if hit]
     matched_anoms = int(np.count_nonzero(truth[seconds]))
 
-    tp = len(matched_faults)
-    fn = len(faults) - tp
+    n_faults = len(bounds)
+    tp = int(np.count_nonzero(fault_hit))
     n_anoms = len(stamps)
-    fp = n_anoms - matched_anoms
-
     if n_anoms:
         precision = matched_anoms / n_anoms
     else:
-        precision = 0.0 if faults else 1.0
-    recall = tp / len(faults) if faults else 1.0
+        precision = 0.0 if n_faults else 1.0
+    recall = tp / n_faults if n_faults else 1.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    accuracy = np.count_nonzero(predicted == truth) / n_seconds
 
     return EvalReport(
-        true_positives=tp,
-        false_positives=fp,
-        false_negatives=fn,
-        matched_anomalies=matched_anoms,
-        total_faults=len(faults),
+        mode=mode,
+        lead_window=lead_window,
+        frame_span=[span_start, span_end],
+        total_faults=n_faults,
         total_anomalies=n_anoms,
+        true_positives=tp,
+        false_positives=n_anoms - matched_anoms,
+        false_negatives=n_faults - tp,
+        matched_anomalies=matched_anoms,
         precision=precision,
         recall=recall,
-        accuracy=accuracy,
+        accuracy=np.count_nonzero(predicted == truth) / n_seconds,
         f1=f1,
-        matched_faults=tuple(matched_faults),
+        matched_faults=bounds[fault_hit].tolist(),
     )
 
 

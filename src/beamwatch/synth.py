@@ -25,26 +25,30 @@ _STREAM_WIRESUM = 2
 _STREAM_XPOS = 3
 _STREAM_YPOS = 4
 
+# fixed shape of every run: beam current on the plateau and during a fault,
+# wiresum per unit of current, fault lengths in seconds, and the position
+# step and how many seconds before a fault it starts
+CURRENT_PLATEAU = 90.0
+FAULT_CURRENT_LEVEL = 2.0
+WIRESUM_GAIN = 12.0
+FAULT_DURATION_MIN = 5
+FAULT_DURATION_MAX = 30
+POSITION_STEP = 0.5
+STEP_LEAD = 5
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     duration: int = 7200
     seed: int = 0
-    current_plateau: float = 90.0
-    fault_current_level: float = 2.0
     current_noise_std: float = 0.4
     current_drift_amplitude: float = 0.0
     current_drift_period: float = 2400.0
-    wiresum_gain: float = 12.0
     wiresum_noise_std: float = 5.0
     position_noise_std: float = 0.01
     n_faults: int = 8
-    fault_duration_min: int = 5
-    fault_duration_max: int = 30
     drift_amplitude: float = 0.05
     drift_period: float = 1800.0
-    position_step: float = 0.5
-    step_lead: int = 5
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -53,10 +57,6 @@ class SynthConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.n_faults < 0:
             raise ConfigError(f"n_faults must be >= 0, got {self.n_faults}")
-        if not 1 <= self.fault_duration_min <= self.fault_duration_max:
-            raise ConfigError("fault duration range must satisfy 1 <= min <= max")
-        if self.step_lead < 0:
-            raise ConfigError(f"step_lead must be >= 0, got {self.step_lead}")
         if min(self.current_noise_std, self.wiresum_noise_std,
                self.position_noise_std) < 0:
             raise ConfigError("noise stds must be >= 0")
@@ -70,18 +70,18 @@ def _place_faults(cfg: SynthConfig) -> list[FaultEvent]:
     if cfg.n_faults == 0:
         return []
     slot = cfg.duration // cfg.n_faults
-    overhead = cfg.fault_duration_max + cfg.step_lead + 2
+    overhead = FAULT_DURATION_MAX + STEP_LEAD + 2
     if slot < overhead:
         raise ConfigError(
             f"cannot place {cfg.n_faults} faults of up to "
-            f"{cfg.fault_duration_max}s in {cfg.duration}s without overlap"
+            f"{FAULT_DURATION_MAX}s in {cfg.duration}s without overlap"
         )
     rng = np.random.default_rng([cfg.seed, _STREAM_FAULTS])
     events = []
     for j in range(cfg.n_faults):
-        dur = int(rng.integers(cfg.fault_duration_min, cfg.fault_duration_max + 1))
+        dur = int(rng.integers(FAULT_DURATION_MIN, FAULT_DURATION_MAX + 1))
         slot_start = j * slot
-        lo = slot_start + cfg.step_lead
+        lo = slot_start + STEP_LEAD
         hi = slot_start + slot - dur - 2
         start = int(rng.integers(lo, hi + 1))
         events.append(FaultEvent(start, start + dur - 1, SOURCE_RECORDED))
@@ -92,9 +92,9 @@ def generate_run(cfg: SynthConfig) -> tuple[AlignedFrame, RawSeries, list[FaultE
     """Generate one run: (wiresum/xpos/ypos frame, current series, truth).
 
     Fully determined by cfg.seed. Outside fault intervals the current sits
-    at the plateau; inside them it drops to fault_current_level. Positions
-    drift sinusoidally and take a per-fault step offset from step_lead
-    seconds before each fault start through its end.
+    at CURRENT_PLATEAU; inside them it drops to FAULT_CURRENT_LEVEL.
+    Positions drift sinusoidally and take a per-fault step offset from
+    STEP_LEAD seconds before each fault start through its end.
     """
     faults = _place_faults(cfg)
     t = np.arange(cfg.duration, dtype=np.int64)
@@ -104,14 +104,14 @@ def generate_run(cfg: SynthConfig) -> tuple[AlignedFrame, RawSeries, list[FaultE
         in_fault[ev.start:ev.end + 1] = True
 
     # optional slow wander of the plateau (off by default)
-    level = cfg.current_plateau + cfg.current_drift_amplitude * \
+    level = CURRENT_PLATEAU + cfg.current_drift_amplitude * \
         np.sin(2.0 * np.pi * t / cfg.current_drift_period)
-    current_base = np.where(in_fault, cfg.fault_current_level, level)
+    current_base = np.where(in_fault, FAULT_CURRENT_LEVEL, level)
     rng_cur = np.random.default_rng([cfg.seed, _STREAM_CURRENT])
     current = current_base + rng_cur.normal(0.0, cfg.current_noise_std, cfg.duration)
 
     rng_ws = np.random.default_rng([cfg.seed, _STREAM_WIRESUM])
-    wiresum = cfg.wiresum_gain * current_base + \
+    wiresum = WIRESUM_GAIN * current_base + \
         rng_ws.normal(0.0, cfg.wiresum_noise_std, cfg.duration)
 
     phase = 2.0 * np.pi * t / cfg.drift_period
@@ -130,6 +130,6 @@ def _position_channel(cfg: SynthConfig, faults, drift_wave, stream: int) -> np.n
     signs = rng.choice([-1.0, 1.0], size=len(faults))
     steps = np.zeros(cfg.duration)
     for sign, ev in zip(signs, faults):
-        steps[max(0, ev.start - cfg.step_lead):ev.end + 1] = sign * cfg.position_step
+        steps[max(0, ev.start - STEP_LEAD):ev.end + 1] = sign * POSITION_STEP
     noise = rng.normal(0.0, cfg.position_noise_std, cfg.duration)
     return cfg.drift_amplitude * drift_wave + steps + noise

@@ -10,6 +10,7 @@ import beamwatch
 from beamwatch import autoencoder as ae
 from beamwatch import config as cfgmod
 from beamwatch.cli import main
+from beamwatch.detect import EvalReport
 from beamwatch.errors import ConfigError
 
 SMALL_CFG = """
@@ -143,6 +144,10 @@ class TestPipeline:
         text = (pipeline_dir / "out" / "eval_report.txt").read_text()
         assert "precision" in text
 
+    def test_eval_report_keys_are_the_report_fields(self, pipeline_dir):
+        doc = json.loads((pipeline_dir / "out" / "eval_report.json").read_text())
+        assert list(doc) == [f.name for f in dataclasses.fields(EvalReport)]
+
     def test_detect_ignores_fault_files(self, pipeline_dir, capsys):
         # test data stays untouched: detection must not read fault files
         code = main(["detect", "--config", str(pipeline_dir / "run.cfg"),
@@ -253,6 +258,23 @@ class TestEvalScenario:
         assert doc["recall"] == 1.0
         assert doc["true_positives"] == 1
         assert doc["frame_span"] == [100, 199]
+
+    def test_successive_calls_keep_their_own_overrides(self, tmp_path):
+        # the parser is built once per process; each call's --set pairs are
+        # its own
+        box = tmp_path
+        (box / "run.cfg").write_text("")
+        (box / "current.csv").write_text(
+            "timestamp,value\n" + "".join(f"{t},90.0\n" for t in range(200)))
+        (box / "faults.csv").write_text("start\n150\n")
+        (box / "out").mkdir()
+        (box / "out" / "anomalies.csv").write_text("timestamp,error\n145,2.5\n")
+        settings = []
+        for pair in ("lead_window=30", "scoring_mode=lead_only"):
+            assert main(["eval", "--config", str(box / "run.cfg"), "--set", pair]) == 0
+            doc = json.loads((box / "out" / "eval_report.json").read_text())
+            settings.append((doc["lead_window"], doc["mode"]))
+        assert settings == [(30, "lead_plus_duration"), (10, "lead_only")]
 
     def test_vacuous_eval(self, tmp_path):
         box = tmp_path

@@ -688,6 +688,14 @@ class TestFrameValidation:
         with pytest.raises(DataError):
             data.AlignedFrame(("a", "a"), np.arange(2, dtype=np.int64), np.zeros((2, 2)))
 
+    def test_stamps_of_rank_two_rejected(self):
+        with pytest.raises(ShapeError, match=r"^frame timestamps must be 1-D, got shape \(2, 1\)$"):
+            data.AlignedFrame(("a",), np.array([[0], [1]]), np.zeros((2, 1)))
+
+    def test_float_stamps_rejected(self):
+        with pytest.raises(DataError, match="^frame timestamps must be integers, got float64$"):
+            data.AlignedFrame(("a",), np.array([0.5, 1.25]), np.zeros((2, 1)))
+
     def test_segments_derived_from_gaps(self, rng):
         frame = frame_of([0, 1, 2, 10, 11, 30], rng.standard_normal((6, 1)))
         # rows 3 and 5 start new runs of consecutive seconds, and only they

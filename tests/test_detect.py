@@ -202,7 +202,7 @@ class TestScoreDetections:
         assert report.true_positives == 1
         assert report.false_negatives == 0
         assert report.precision == 1.0 and report.recall == 1.0
-        assert report.matched_faults == (FaultEvent(100, 100),)
+        assert report.matched_faults == [[100, 100]]
 
     def test_anomaly_after_fault_is_fp_in_lead_only(self):
         report = detect.score_detections([AnomalyPoint(111, 2.0)], [FaultEvent(100, 105)],
@@ -268,8 +268,33 @@ class TestScoreDetections:
                 report.false_negatives, report.matched_anomalies) == (tp, fp, fn, matched)
         assert report.accuracy == acc
         last = (lambda f: f.start) if mode == "lead_only" else (lambda f: f.end)
-        assert report.matched_faults == tuple(
-            f for f in faults if set(stamps) & set(range(f.start - lead, last(f) + 1)))
+        assert report.matched_faults == [
+            [f.start, f.end] for f in faults
+            if set(stamps) & set(range(f.start - lead, last(f) + 1))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), span_len=st.integers(1, 120), lead=st.integers(0, 40),
+           mode=st.sampled_from(detect.SCORING_MODES))
+    def test_faults_are_clipped_to_the_span(self, data, span_len, lead, mode):
+        # faults inside the span, straddling either end, around it or wholly
+        # outside it score as the hand-clipped parts that overlap it
+        span = (1000, 1000 + span_len - 1)
+        faults = []
+        for start in data.draw(st.lists(st.integers(span[0] - 80, span[1] + 80), max_size=12)):
+            faults.append(FaultEvent(start, data.draw(st.integers(start, start + 200))))
+        stamps = sorted(data.draw(st.sets(st.integers(*span), max_size=60)))
+        anomalies = [AnomalyPoint(t, 1.0) for t in stamps]
+        clipped = [FaultEvent(max(f.start, span[0]), min(f.end, span[1]))
+                   for f in faults if f.end >= span[0] and f.start <= span[1]]
+        report = detect.score_detections(anomalies, faults, lead, mode, span)
+        assert report == detect.score_detections(anomalies, clipped, lead, mode, span)
+        tp, fp, fn, matched, acc = bruteforce_score(anomalies, clipped, lead, mode, span)
+        assert (report.total_faults, report.true_positives, report.false_positives,
+                report.false_negatives, report.matched_anomalies) == \
+            (len(clipped), tp, fp, fn, matched)
+        assert report.accuracy == acc
+        assert report.frame_span == list(span)
+        assert (report.mode, report.lead_window) == (mode, lead)
 
     def test_table_scores_like_points(self, rng):
         for trial in range(120):
@@ -313,8 +338,10 @@ class TestScoreDetections:
             detect.score_detections([], [], frame_span=(5, 4))
         with pytest.raises(DataError):
             detect.score_detections([AnomalyPoint(50, 1.0)], [], frame_span=(0, 10))
-        with pytest.raises(DataError):
-            detect.score_detections([], [FaultEvent(50, 50)], frame_span=(0, 10))
+        # a fault wholly outside the span is ground truth for other seconds,
+        # even one whose stamps int64 cannot hold
+        assert detect.score_detections([], [FaultEvent(50, 50), FaultEvent(2**64, 2**64)],
+                                       frame_span=(0, 10)).total_faults == 0
 
 
 def anomaly_outcome(parse, text):

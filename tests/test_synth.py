@@ -35,7 +35,7 @@ class TestGenerateRun:
         for e in truth:
             assert 0 <= e.start <= e.end < cfg.duration
             dur = e.end - e.start + 1
-            assert cfg.fault_duration_min <= dur <= cfg.fault_duration_max
+            assert synth.FAULT_DURATION_MIN <= dur <= synth.FAULT_DURATION_MAX
         for a, b in zip(truth, truth[1:]):
             assert b.start - a.end >= 2
 
@@ -47,14 +47,14 @@ class TestGenerateRun:
         in_fault = np.zeros(cfg.duration, dtype=bool)
         for e in truth:
             in_fault[e.start:e.end + 1] = True
-        assert np.all(cur.values[~in_fault] == cfg.current_plateau)
-        assert np.all(cur.values[in_fault] == cfg.fault_current_level)
+        assert np.all(cur.values[~in_fault] == synth.CURRENT_PLATEAU)
+        assert np.all(cur.values[in_fault] == synth.FAULT_CURRENT_LEVEL)
         assert np.all(frame.values[~in_fault, 0] ==
-                      cfg.wiresum_gain * cfg.current_plateau)
+                      synth.WIRESUM_GAIN * synth.CURRENT_PLATEAU)
 
     def test_current_drops_recover_injected_faults(self):
         frame, cur, truth = synth.generate_run(SMALL)
-        drops = faults.detect_current_drops(cur, SMALL.current_plateau / 2.0)
+        drops = faults.detect_current_drops(cur, synth.CURRENT_PLATEAU / 2.0)
         assert [(d.start, d.end) for d in drops] == [(e.start, e.end) for e in truth]
 
     def test_frame_passes_pipeline_validation(self):
@@ -74,9 +74,9 @@ class TestGenerateRun:
                                 position_noise_std=0.0, drift_amplitude=0.0)
         frame, _, truth = synth.generate_run(cfg)
         for e in truth:
-            pre = frame.values[e.start - cfg.step_lead:e.start, 1]
-            assert np.all(np.abs(pre) == cfg.position_step)
-            before = frame.values[e.start - cfg.step_lead - 3:e.start - cfg.step_lead, 1]
+            pre = frame.values[e.start - synth.STEP_LEAD:e.start, 1]
+            assert np.all(np.abs(pre) == synth.POSITION_STEP)
+            before = frame.values[e.start - synth.STEP_LEAD - 3:e.start - synth.STEP_LEAD, 1]
             assert np.all(before == 0.0)
 
     def test_unplaceable_faults_rejected(self):
@@ -86,8 +86,6 @@ class TestGenerateRun:
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             synth.SynthConfig(duration=0)
-        with pytest.raises(ConfigError):
-            synth.SynthConfig(fault_duration_min=10, fault_duration_max=5)
 
     def test_channel_streams_independent(self):
         # changing position parameters must not perturb current or wiresum
