@@ -119,19 +119,21 @@ def _write_report(out: Path, name: str, title: str, doc: dict) -> None:
 
 def cmd_synth(cfg: RunConfig) -> None:
     """Generate a synthetic run and write it to the configured input paths."""
+    if len(cfg.series_files) != len(synth.FRAME_CHANNELS):
+        raise ConfigError(f"synth produces {len(synth.FRAME_CHANNELS)} channels but "
+                          f"config names {len(cfg.series_files)} series files")
     scfg = synth.SynthConfig(duration=cfg.synth_duration, seed=cfg.synth_seed,
                              n_faults=cfg.synth_n_faults)
-    frame, current, truth = synth.generate_run(scfg)
-    if len(cfg.series_files) != len(frame.channels):
-        raise ConfigError(
-            f"synth produces {len(frame.channels)} channels but config names "
-            f"{len(cfg.series_files)} series files"
-        )
-    outputs = [(path, data.RawSeries(name, frame.timestamps, frame.values[:, idx]))
-               for idx, (path, name) in enumerate(zip(cfg.series_files, frame.channels))]
-    for path, series in outputs + [(cfg.current_file, current)]:
-        with atomic_writer(path) as fh:
-            data.format_series_csv(series, fh)
+    truth = synth.place_faults(scfg)
+    # One pass over the run's blocks; a failing pass replaces no file.
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(atomic_writer(path))
+                 for path in (*cfg.series_files, cfg.current_file)]
+        for fh in files:
+            fh.write(data.SERIES_CSV_HEADER + "\n")
+        for stamps, *columns in synth.generate_blocks(scfg, truth):
+            for fh, values in zip(files, columns):
+                data.write_series_rows(stamps, values, fh)
     atomic_write_text(cfg.fault_files[0], faults.format_fault_csv(truth))
     print(f"synth: wrote {scfg.duration}s run with {len(truth)} faults "
           f"to {len(cfg.series_files) + 2} files")

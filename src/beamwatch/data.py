@@ -230,18 +230,20 @@ _FORMAT_BLOCK_ROWS = 4096
 
 
 def format_series_csv(series: RawSeries, out: TextIO) -> None:
-    """Write a RawSeries to `out` in the `timestamp,value` CSV format.
-
-    Integral stamps (of an integer or a float dtype) are written as
-    integers, others and all values by `repr`, so parsing the text gives
-    back the same doubles. Rows go out in blocks of `_FORMAT_BLOCK_ROWS`,
-    one `join` each.
-    """
-    int_stamps = series.timestamps.dtype.kind in "iu"
+    """Write a RawSeries to `out` as a `timestamp,value` CSV."""
     out.write(SERIES_CSV_HEADER + "\n")
-    for lo in range(0, len(series), _FORMAT_BLOCK_ROWS):
+    write_series_rows(series.timestamps, series.values, out)
+
+
+def write_series_rows(timestamps: np.ndarray, values: np.ndarray, out: TextIO) -> None:
+    """Write series CSV rows to `out`, one `join` per `_FORMAT_BLOCK_ROWS`
+    rows, so a series may go out in several calls. Integral stamps (of an
+    integer or a float dtype) are written as integers, others and all
+    values by `repr`, so parsing the text gives back the same doubles."""
+    int_stamps = timestamps.dtype.kind in "iu"
+    for lo in range(0, len(timestamps), _FORMAT_BLOCK_ROWS):
         hi = lo + _FORMAT_BLOCK_ROWS
-        rows = zip(series.timestamps[lo:hi].tolist(), series.values[lo:hi].tolist())
+        rows = zip(timestamps[lo:hi].tolist(), values[lo:hi].tolist())
         out.write("".join([f"{ts},{val!r}\n" for ts, val in rows] if int_stamps else [
             f"{str(int(ts)) if ts.is_integer() else repr(ts)},{val!r}\n" for ts, val in rows]))
 

@@ -5,12 +5,13 @@ faults: the current collapses during each fault, the wiresum tracks it, and
 the positions pick up a step perturbation a few seconds before the fault
 starts so that lead-window detection is actually exercised. Every channel
 draws from its own seeded stream, so tweaking one channel's parameters
-leaves the others untouched.
+leaves the others untouched, and a run comes out in blocks of seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +36,12 @@ FAULT_DURATION_MIN = 5
 FAULT_DURATION_MAX = 30
 POSITION_STEP = 0.5
 STEP_LEAD = 5
+
+# the frame's channels in column order, and the seconds per block of
+# `generate_blocks`: beside fault masks of 1 byte a second, all of the run
+# that synth holds at once
+FRAME_CHANNELS = ("wiresum", "xpos", "ypos")
+BLOCK_SECONDS = 4096
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class SynthConfig:
             raise ConfigError("drift periods must be positive")
 
 
-def _place_faults(cfg: SynthConfig) -> list[FaultEvent]:
+def place_faults(cfg: SynthConfig) -> list[FaultEvent]:
     # One fault per equal-width slot keeps intervals disjoint (with >= 2 s
     # gaps) and spreads them over both the train and test halves.
     if cfg.n_faults == 0:
@@ -88,48 +95,56 @@ def _place_faults(cfg: SynthConfig) -> list[FaultEvent]:
     return events
 
 
-def generate_run(cfg: SynthConfig) -> tuple[AlignedFrame, RawSeries, list[FaultEvent]]:
-    """Generate one run: (wiresum/xpos/ypos frame, current series, truth).
+def generate_blocks(cfg: SynthConfig, faults: list[FaultEvent]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield the run of `cfg`, with the `faults` of `place_faults(cfg)`, in
+    blocks of BLOCK_SECONDS rows (the last may be shorter): int64 stamps,
+    then the wiresum, xpos, ypos and current values.
 
-    Fully determined by cfg.seed. Outside fault intervals the current sits
-    at CURRENT_PLATEAU; inside them it drops to FAULT_CURRENT_LEVEL.
-    Positions drift sinusoidally and take a per-fault step offset from
-    STEP_LEAD seconds before each fault start through its end.
+    Fully determined by cfg.seed, whatever the block length: each channel
+    draws its noise block by block from its own stream. Outside fault
+    intervals the current sits at CURRENT_PLATEAU; inside them it drops to
+    FAULT_CURRENT_LEVEL. Positions drift sinusoidally and take a per-fault
+    step offset from STEP_LEAD seconds before each fault start through its end.
     """
-    faults = _place_faults(cfg)
-    t = np.arange(cfg.duration, dtype=np.int64)
-
     in_fault = np.zeros(cfg.duration, dtype=bool)
     for ev in faults:
         in_fault[ev.start:ev.end + 1] = True
-
-    # optional slow wander of the plateau (off by default)
-    level = CURRENT_PLATEAU + cfg.current_drift_amplitude * \
-        np.sin(2.0 * np.pi * t / cfg.current_drift_period)
-    current_base = np.where(in_fault, FAULT_CURRENT_LEVEL, level)
     rng_cur = np.random.default_rng([cfg.seed, _STREAM_CURRENT])
-    current = current_base + rng_cur.normal(0.0, cfg.current_noise_std, cfg.duration)
-
     rng_ws = np.random.default_rng([cfg.seed, _STREAM_WIRESUM])
-    wiresum = WIRESUM_GAIN * current_base + \
-        rng_ws.normal(0.0, cfg.wiresum_noise_std, cfg.duration)
+    positions = [(np.sin, *_position_stream(cfg, faults, _STREAM_XPOS)),
+                 (np.cos, *_position_stream(cfg, faults, _STREAM_YPOS))]
+    for lo in range(0, cfg.duration, BLOCK_SECONDS):
+        t = np.arange(lo, min(lo + BLOCK_SECONDS, cfg.duration), dtype=np.int64)
+        rows = slice(lo, lo + BLOCK_SECONDS)
+        # optional slow wander of the plateau (off by default)
+        level = CURRENT_PLATEAU + cfg.current_drift_amplitude * \
+            np.sin(2.0 * np.pi * t / cfg.current_drift_period)
+        current_base = np.where(in_fault[rows], FAULT_CURRENT_LEVEL, level)
+        current = current_base + rng_cur.normal(0.0, cfg.current_noise_std, len(t))
+        wiresum = WIRESUM_GAIN * current_base + rng_ws.normal(0.0, cfg.wiresum_noise_std, len(t))
+        phase = 2.0 * np.pi * t / cfg.drift_period
+        xpos, ypos = (cfg.drift_amplitude * wave(phase) + steps[rows] * POSITION_STEP +
+                      rng.normal(0.0, cfg.position_noise_std, len(t))
+                      for wave, rng, steps in positions)
+        yield t, wiresum, xpos, ypos, current
 
-    phase = 2.0 * np.pi * t / cfg.drift_period
-    xpos = _position_channel(cfg, faults, np.sin(phase), _STREAM_XPOS)
-    ypos = _position_channel(cfg, faults, np.cos(phase), _STREAM_YPOS)
 
-    frame = AlignedFrame(("wiresum", "xpos", "ypos"), t,
-                         np.column_stack([wiresum, xpos, ypos]))
-    current_series = RawSeries("current", t, current)
-    return frame, current_series, faults
-
-
-def _position_channel(cfg: SynthConfig, faults, drift_wave, stream: int) -> np.ndarray:
+def _position_stream(cfg: SynthConfig, faults, stream: int):
+    """A position channel's stream, past its per-fault step signs, and the
+    sign of its step in each second (int8, 0 outside every step)."""
     rng = np.random.default_rng([cfg.seed, stream])
-    # per-fault step signs first, then the noise array: fixed draw order
+    # per-fault step signs first, then the noise: fixed draw order
     signs = rng.choice([-1.0, 1.0], size=len(faults))
-    steps = np.zeros(cfg.duration)
+    steps = np.zeros(cfg.duration, dtype=np.int8)
     for sign, ev in zip(signs, faults):
-        steps[max(0, ev.start - STEP_LEAD):ev.end + 1] = sign * POSITION_STEP
-    noise = rng.normal(0.0, cfg.position_noise_std, cfg.duration)
-    return cfg.drift_amplitude * drift_wave + steps + noise
+        steps[max(0, ev.start - STEP_LEAD):ev.end + 1] = sign
+    return rng, steps
+
+
+def generate_run(cfg: SynthConfig) -> tuple[AlignedFrame, RawSeries, list[FaultEvent]]:
+    """Generate one run whole, the blocks of `generate_blocks` joined:
+    (wiresum/xpos/ypos frame, current series, truth)."""
+    faults = place_faults(cfg)
+    t, wiresum, xpos, ypos, current = map(np.concatenate, zip(*generate_blocks(cfg, faults)))
+    frame = AlignedFrame(FRAME_CHANNELS, t, np.column_stack([wiresum, xpos, ypos]))
+    return frame, RawSeries("current", t, current), faults

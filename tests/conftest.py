@@ -1,10 +1,14 @@
 """Shared test helpers: random parameter factories and the gradient-check
-comparison used by both unit and acceptance tests."""
+comparison used by both unit and acceptance tests, the text of a series CSV,
+and the tracemalloc peak of a call."""
+
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from beamwatch import nn
+from beamwatch import data, nn
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
@@ -17,6 +21,22 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
     """
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def csv_text(series: data.RawSeries) -> str:
+    """The series CSV that `data.format_series_csv` writes for `series`."""
+    out = io.StringIO()
+    data.format_series_csv(series, out)
+    return out.getvalue()
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_lstm_params(rng: np.random.Generator, input_dim: int,

@@ -1,13 +1,15 @@
 """Serial reference ops that only the tests use: single-step LSTM backward,
 a whole sequence through the single-step cell, inverted dropout as a
-function of the mode, and the row-at-a-time series CSV writer. The batched
-ops in `beamwatch.nn` are checked against these and agree up to
-floating-point reassociation; the block writer in `beamwatch.data` must
-match the row writer byte for byte."""
+function of the mode, the row-at-a-time series CSV writer and the
+whole-array run generator. The batched ops in `beamwatch.nn` are checked
+against these and agree up to floating-point reassociation; the block
+writer in `beamwatch.data` must match the row writer, and the block
+generator in `beamwatch.synth` the whole-array one, bit for bit."""
 
 import numpy as np
 
-from beamwatch.data import SERIES_CSV_HEADER, RawSeries
+from beamwatch import synth
+from beamwatch.data import SERIES_CSV_HEADER, AlignedFrame, RawSeries
 from beamwatch.errors import ConfigError, ShapeError
 from beamwatch.nn import LstmCellCache, LstmLayerParams, dropout_mask, lstm_cell_forward
 
@@ -93,3 +95,43 @@ def format_series_csv(series: RawSeries) -> str:
         ts_text = str(int(ts)) if float(ts).is_integer() else repr(float(ts))
         lines.append(f"{ts_text},{float(val)!r}")
     return "\n".join(lines) + "\n"
+
+
+def generate_run(cfg: synth.SynthConfig) -> tuple[AlignedFrame, RawSeries, list]:
+    """One run computed over whole arrays: (wiresum/xpos/ypos frame,
+    current series, truth)."""
+    faults = synth.place_faults(cfg)
+    t = np.arange(cfg.duration, dtype=np.int64)
+
+    in_fault = np.zeros(cfg.duration, dtype=bool)
+    for ev in faults:
+        in_fault[ev.start:ev.end + 1] = True
+
+    level = synth.CURRENT_PLATEAU + cfg.current_drift_amplitude * \
+        np.sin(2.0 * np.pi * t / cfg.current_drift_period)
+    current_base = np.where(in_fault, synth.FAULT_CURRENT_LEVEL, level)
+    rng_cur = np.random.default_rng([cfg.seed, synth._STREAM_CURRENT])
+    current = current_base + rng_cur.normal(0.0, cfg.current_noise_std, cfg.duration)
+
+    rng_ws = np.random.default_rng([cfg.seed, synth._STREAM_WIRESUM])
+    wiresum = synth.WIRESUM_GAIN * current_base + \
+        rng_ws.normal(0.0, cfg.wiresum_noise_std, cfg.duration)
+
+    phase = 2.0 * np.pi * t / cfg.drift_period
+    xpos = _position_channel(cfg, faults, np.sin(phase), synth._STREAM_XPOS)
+    ypos = _position_channel(cfg, faults, np.cos(phase), synth._STREAM_YPOS)
+
+    frame = AlignedFrame(("wiresum", "xpos", "ypos"), t,
+                         np.column_stack([wiresum, xpos, ypos]))
+    return frame, RawSeries("current", t, current), faults
+
+
+def _position_channel(cfg, faults, drift_wave, stream: int) -> np.ndarray:
+    rng = np.random.default_rng([cfg.seed, stream])
+    # per-fault step signs first, then the noise array: fixed draw order
+    signs = rng.choice([-1.0, 1.0], size=len(faults))
+    steps = np.zeros(cfg.duration)
+    for sign, ev in zip(signs, faults):
+        steps[max(0, ev.start - synth.STEP_LEAD):ev.end + 1] = sign * synth.POSITION_STEP
+    noise = rng.normal(0.0, cfg.position_noise_std, cfg.duration)
+    return cfg.drift_amplitude * drift_wave + steps + noise

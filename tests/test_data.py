@@ -4,10 +4,8 @@ oracles for the invariants."""
 
 import contextlib
 import dataclasses
-import io
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,21 +19,7 @@ from beamwatch.errors import (BeamwatchError, ConfigError, DataError, OrderError
 from beamwatch.faults import FaultEvent
 
 import oracles
-
-
-def csv_text(series):
-    out = io.StringIO()
-    data.format_series_csv(series, out)
-    return out.getvalue()
-
-
-def traced_peak(fn):
-    """fn()'s result and the peak bytes tracemalloc saw while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+from conftest import csv_text, traced_peak
 
 
 def frame_of(timestamps, values, channels=None):

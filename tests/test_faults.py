@@ -11,7 +11,7 @@ from beamwatch.data import RawSeries
 from beamwatch.errors import ConfigError, DataError, ParseError, RangeError
 from beamwatch.faults import FaultEvent
 
-from test_data import traced_peak
+from conftest import traced_peak
 
 
 LABEL_CHARS = st.sampled_from("abcxyzABCXYZ0189_-.:")

@@ -20,7 +20,8 @@ from beamwatch import cli, data
 from beamwatch.config import RunConfig
 from beamwatch.errors import BeamwatchError, OrderError, ParseError
 
-from test_data import parse_outcome, series_texts, traced_peak
+from conftest import traced_peak
+from test_data import parse_outcome, series_texts
 
 TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.5,-3e-300\n"
 
