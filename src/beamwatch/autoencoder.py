@@ -37,8 +37,8 @@ from .ioutil import as_text, atomic_write_text, read_input
 
 SCHEMA_VERSION = 2
 
-# Windows per inference chunk (the default training batch size). The last
-# chunk is zero-padded to this size; the padding rows are discarded.
+# Windows per inference chunk, a fact of its own, not the training batch size.
+# The last chunk is zero-padded to this size; the padding rows are discarded.
 INFERENCE_CHUNK = 64
 
 

@@ -2,8 +2,10 @@
 
 Every tunable of the workflow (window size, hidden units, dropout, the 10 s
 fault margin and lead window, the 3-sigma multiplier, ...) is a config key
-with the reference default, never a hard-coded constant. Relative paths are
-resolved against the directory containing the config file.
+with the reference default, never a hard-coded constant. A default that the
+library declares is read from that declaration, so each is declared once; no
+library module imports this one. Relative paths are resolved against the
+directory containing the config file.
 """
 
 from __future__ import annotations
@@ -12,41 +14,43 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .detect import SCORING_MODES
+from .autoencoder import AutoencoderConfig, TrainConfig
+from .detect import SCORING_MODES, DetectorThreshold
 from .errors import ConfigError
 from .ioutil import as_text, read_input
+from .synth import FRAME_CHANNELS, SynthConfig
 
 
 @dataclass(frozen=True)
 class RunConfig:
     # input/output paths
-    series_files: tuple[str, ...] = ("wiresum.csv", "xpos.csv", "ypos.csv")
+    series_files: tuple[str, ...] = tuple(f"{name}.csv" for name in FRAME_CHANNELS)
     current_file: str = "current.csv"
     fault_files: tuple[str, ...] = ("faults.csv",)
     model_file: str = "model.json"
     output_dir: str = "out"
     # autoencoder architecture
-    window_k: int = 30
-    hidden_dim: int = 64
-    dropout_rate: float = 0.2
-    model_seed: int = 0
+    window_k: int = AutoencoderConfig.window_k
+    hidden_dim: int = AutoencoderConfig.hidden_dim
+    dropout_rate: float = AutoencoderConfig.dropout_rate
+    model_seed: int = AutoencoderConfig.seed
     # training
-    epochs: int = 50
-    batch_size: int = 64
-    shuffle_seed: int = 0
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    shuffle_seed: int = TrainConfig.shuffle_seed
     train_fraction: float = 0.5
     fault_margin: int = 10
     # detection and evaluation
-    threshold_multiplier: float = 3.0
+    threshold_multiplier: float = DetectorThreshold.multiplier
     current_drop_threshold: float = 45.0
     lead_window: int = 10
     scoring_mode: str = "lead_plus_duration"
     merge_max_gap: int | None = None
     coalesce_gap: int = 0
     # synthetic data generation
-    synth_duration: int = 7200
+    synth_duration: int = SynthConfig.duration
     synth_seed: int = 7
-    synth_n_faults: int = 8
+    synth_n_faults: int = SynthConfig.n_faults
 
     def __post_init__(self):
         if self.scoring_mode not in SCORING_MODES:

@@ -287,7 +287,7 @@ def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:
     return _unchecked(AlignedFrame, tuple(names), grid, values)
 
 
-def chronological_split(frame: AlignedFrame, train_fraction: float = 0.5
+def chronological_split(frame: AlignedFrame, train_fraction: float
                         ) -> tuple[AlignedFrame, AlignedFrame]:
     """Split rows in time order: earliest floor(fraction*n) rows to train."""
     if not 0.0 < train_fraction <= 1.0:
@@ -302,7 +302,7 @@ def chronological_split(frame: AlignedFrame, train_fraction: float = 0.5
 
 def remove_fault_neighborhoods(frame: AlignedFrame,
                                faults: Iterable["FaultEvent"],
-                               margin: int = 10) -> AlignedFrame:
+                               margin: int) -> AlignedFrame:
     """Drop every second within `margin` of a fault interval (inclusive).
 
     Each removal leaves a timestamp gap, so no window of `make_windows`
@@ -342,7 +342,7 @@ def standardize(frame: AlignedFrame, stats: ChannelStats) -> AlignedFrame:
                         (frame.values - stats.mean) / stats.std)
 
 
-def make_windows(frame: AlignedFrame, k: int = 30) -> WindowSet:
+def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
     """Copy out every k rows s..s+k-1 with ts[s+k-1] - ts[s] == k-1 (k
     consecutive seconds, so no gap inside), each tagged with its last stamp.
     """

@@ -12,7 +12,9 @@ builds it, `format_anomaly_csv` writes it and `parse_anomaly_csv` reads it
 back, a plain file in one `loadtxt` pass and any other through the line
 loop. `score_detections` counts everything from two per-second masks over
 the evaluated span, so a plain file reaches the report with no per-row
-Python object. Merged `AnomalyEvent`s are only written, to the event CSV.
+Python object. `merge_consecutive_anomalies` joins the rows into a table of
+`EVENT_DTYPE` rows, which is only written, to the event CSV; both CSVs come
+from one row writer.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ SCORING_MODES = ("lead_only", "lead_plus_duration")
 ANOMALY_CSV_HEADER = "timestamp,error"
 EVENT_CSV_HEADER = "start,end,peak_error"
 
-# One row of an anomaly CSV, as `parse_anomaly_csv` returns it.
+# One row of an anomaly CSV, as `parse_anomaly_csv` returns it, and one
+# merged run of anomalies, an inclusive interval with its peak error.
 ANOMALY_DTYPE = np.dtype([("timestamp", "<i8"), ("error", "<f8")])
+EVENT_DTYPE = np.dtype([("start", "<i8"), ("end", "<i8"), ("peak_error", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -63,19 +67,6 @@ class AnomalyPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class AnomalyEvent:
-    """A merged run of anomaly points, inclusive interval with peak error."""
-
-    start: int
-    end: int
-    peak_error: float
-
-    def __post_init__(self):
-        if self.end < self.start:
-            raise OrderError(f"anomaly event end {self.end} before start {self.start}")
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """What `eval` reports, field for field: the keys of `eval_report.json`
     in their order."""
@@ -96,7 +87,8 @@ class EvalReport:
     matched_faults: list[list[int]]  # [start, end] of each hit fault, clipped
 
 
-def compute_threshold(training_errors: np.ndarray, multiplier: float = 3.0) -> DetectorThreshold:
+def compute_threshold(training_errors: np.ndarray,
+                      multiplier: float = DetectorThreshold.multiplier) -> DetectorThreshold:
     """Calibrate the threshold from training reconstruction errors."""
     errors = np.asarray(training_errors, dtype=np.float64)
     if errors.size == 0:
@@ -110,7 +102,7 @@ def compute_threshold(training_errors: np.ndarray, multiplier: float = 3.0) -> D
 
 def flag_anomalies(errors: np.ndarray,
                    end_timestamps: np.ndarray,
-                   threshold: DetectorThreshold | float) -> np.ndarray:
+                   threshold: float) -> np.ndarray:
     """The `ANOMALY_DTYPE` table of the windows whose error strictly exceeds
     the threshold value, stamped with the window's last-row epoch second."""
     errors = np.asarray(errors, dtype=np.float64)
@@ -119,8 +111,7 @@ def flag_anomalies(errors: np.ndarray,
         raise ShapeError(
             f"errors shape {errors.shape} != timestamps shape {end_timestamps.shape}"
         )
-    value = threshold.value if isinstance(threshold, DetectorThreshold) else float(threshold)
-    hits = errors > value
+    hits = errors > threshold
     table = np.empty(np.count_nonzero(hits), dtype=ANOMALY_DTYPE)
     table["timestamp"] = end_timestamps[hits]
     table["error"] = errors[hits]
@@ -136,8 +127,9 @@ def _anomaly_table(anomalies: np.ndarray | Iterable[AnomalyPoint]) -> np.ndarray
 
 
 def merge_consecutive_anomalies(points: np.ndarray | Iterable[AnomalyPoint],
-                                max_gap: int = 0) -> list[AnomalyEvent]:
-    """Join runs of anomaly points whose inter-timestamp gap is <= max_gap.
+                                max_gap: int) -> np.ndarray:
+    """The `EVENT_DTYPE` table of the runs of anomaly points whose
+    inter-timestamp gap is <= max_gap, in time order.
 
     The gap between two points is the number of seconds strictly between
     them, so adjacent-second points merge even at max_gap = 0.
@@ -148,21 +140,22 @@ def merge_consecutive_anomalies(points: np.ndarray | Iterable[AnomalyPoint],
     stamps = table["timestamp"]
     if np.any(stamps[1:] < stamps[:-1]):
         raise OrderError("anomaly points must be sorted by timestamp")
-    events: list[AnomalyEvent] = []
+    # Python ints: a gap between int64 stamps can wrap
+    events: list[tuple[int, int, float]] = []
     for t, error in table.tolist():
-        if events and t - events[-1].end - 1 <= max_gap:
-            prev = events[-1]
-            events[-1] = AnomalyEvent(prev.start, t, max(prev.peak_error, error))
+        if events and t - events[-1][1] - 1 <= max_gap:
+            start, _, peak = events[-1]
+            events[-1] = (start, t, max(peak, error))
         else:
-            events.append(AnomalyEvent(t, t, error))
-    return events
+            events.append((t, t, error))
+    return np.array(events, dtype=EVENT_DTYPE)
 
 
 def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
                      faults: Iterable[FaultEvent],
-                     lead_window: int = 10,
-                     mode: str = "lead_only",
-                     frame_span: tuple[int, int] | None = None) -> EvalReport:
+                     lead_window: int,
+                     mode: str,
+                     frame_span: tuple[int, int]) -> EvalReport:
     """Score anomalies against fault ground truth over the evaluated span.
 
     Args:
@@ -201,7 +194,7 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
         raise ConfigError(f"lead_window must be >= 0, got {lead_window}")
     if mode not in SCORING_MODES:
         raise ConfigError(f"mode must be one of {SCORING_MODES}, got {mode!r}")
-    if frame_span is None or frame_span[1] < frame_span[0]:
+    if frame_span[1] < frame_span[0]:
         raise DataError(f"empty frame span: {frame_span}")
     span_start, span_end = int(frame_span[0]), int(frame_span[1])
     stamps = _anomaly_table(anomalies)["timestamp"]
@@ -258,12 +251,18 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
     )
 
 
-def format_anomaly_csv(points: np.ndarray | Iterable[AnomalyPoint]) -> str:
-    """The anomaly CSV of an anomaly table or of AnomalyPoints; errors are
-    written by `repr`, so parsing gives back the same doubles."""
-    lines = [ANOMALY_CSV_HEADER]
-    lines += [f"{t},{e!r}" for t, e in _anomaly_table(points).tolist()]
+def _format_csv(header: str, table: np.ndarray) -> str:
+    """`header`, then one line per row of `table`, every field by `repr`
+    (an int's is its digits), so parsing gives back the same doubles."""
+    row = ",".join(["%r"] * len(table.dtype))
+    lines = [header]
+    lines += [row % fields for fields in table.tolist()]
     return "\n".join(lines) + "\n"
+
+
+def format_anomaly_csv(points: np.ndarray | Iterable[AnomalyPoint]) -> str:
+    """The anomaly CSV of an anomaly table or of AnomalyPoints."""
+    return _format_csv(ANOMALY_CSV_HEADER, _anomaly_table(points))
 
 
 def parse_anomaly_csv(text: str | bytes) -> np.ndarray:
@@ -313,7 +312,6 @@ def _parse_anomaly_lines(text: str) -> np.ndarray:
     return np.array(rows, dtype=ANOMALY_DTYPE)
 
 
-def format_event_csv(events: Iterable[AnomalyEvent]) -> str:
-    lines = [EVENT_CSV_HEADER]
-    lines += [f"{e.start},{e.end},{float(e.peak_error)!r}" for e in events]
-    return "\n".join(lines) + "\n"
+def format_event_csv(events: np.ndarray) -> str:
+    """The event CSV of an `EVENT_DTYPE` table."""
+    return _format_csv(EVENT_CSV_HEADER, events)

@@ -46,8 +46,8 @@ BLOCK_SECONDS = 4096
 
 @dataclass(frozen=True)
 class SynthConfig:
+    seed: int
     duration: int = 7200
-    seed: int = 0
     current_noise_std: float = 0.4
     current_drift_amplitude: float = 0.0
     current_drift_period: float = 2400.0

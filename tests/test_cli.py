@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,16 @@ class TestConfigParsing:
         assert cfg.train_fraction == 0.5
         assert cfg.epochs == 50
         assert cfg.merge_max_gap is None
+
+    def test_readme_table_is_the_defaults(self):
+        # README's "Config keys" table is a third copy of every default:
+        # each row read as `key = default`, with `unset` an empty value.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config keys\n")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \| (?:`([^`]*)`|unset) \|", section, re.MULTILINE)
+        assert [key for key, _ in rows] == [f.name for f in dataclasses.fields(cfgmod.RunConfig)]
+        text = "".join(f"{key} = {default}\n" for key, default in rows)
+        assert cfgmod.parse_run_config(text) == cfgmod.parse_run_config("")
 
     def test_values_and_comments(self):
         cfg = cfgmod.parse_run_config(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamwatch import detect
-from beamwatch.detect import AnomalyEvent, AnomalyPoint
+from beamwatch.detect import AnomalyPoint
 from beamwatch.errors import (BeamwatchError, ConfigError, DataError, OrderError,
                               ParseError, ShapeError)
 from beamwatch.faults import FaultEvent
@@ -32,7 +32,7 @@ class TestComputeThreshold:
         errors = rng.uniform(0, 1, 200)
         thr = detect.compute_threshold(errors)
         if thr.value >= errors.max():
-            flagged = detect.flag_anomalies(errors, np.arange(200), thr)
+            flagged = detect.flag_anomalies(errors, np.arange(200), thr.value)
             assert columns(flagged) == ([], [])
 
     def test_value_identity_property(self, rng):
@@ -54,19 +54,20 @@ class TestComputeThreshold:
 class TestFlagAnomalies:
     def test_all_below_threshold(self):
         thr = detect.DetectorThreshold(mean=1.0, std=0.0)
-        table = detect.flag_anomalies(np.array([0.1, 0.9]), np.array([5, 6]), thr)
+        table = detect.flag_anomalies(np.array([0.1, 0.9]), np.array([5, 6]), thr.value)
         assert table.dtype == detect.ANOMALY_DTYPE and columns(table) == ([], [])
 
     def test_tie_not_flagged(self):
         thr = detect.DetectorThreshold(mean=1.0, std=0.0)
-        assert columns(detect.flag_anomalies(np.array([1.0]), np.array([5]), thr)) == ([], [])
-        assert columns(detect.flag_anomalies(np.array([1.0 + 1e-12]), np.array([5]), thr)) == \
+        assert columns(detect.flag_anomalies(np.array([1.0]), np.array([5]), thr.value)) == ([], [])
+        assert columns(detect.flag_anomalies(np.array([1.0 + 1e-12]), np.array([5]),
+                                             thr.value)) == \
             ([5], [(1.0 + 1e-12).hex()])
 
     def test_timestamp_is_window_end(self):
         # a window covering seconds 0..29 is flagged at second 29
         thr = detect.DetectorThreshold(mean=0.0, std=0.0)
-        table = detect.flag_anomalies(np.array([2.0]), np.array([29]), thr)
+        table = detect.flag_anomalies(np.array([2.0]), np.array([29]), thr.value)
         assert columns(table) == ([29], [(2.0).hex()])
 
     def test_accepts_plain_float_threshold(self):
@@ -79,7 +80,7 @@ class TestFlagAnomalies:
             errors = rng.uniform(0, 2, n)
             ts = np.cumsum(rng.integers(1, 5, n)) if n else np.array([], dtype=int)
             thr = detect.DetectorThreshold(float(rng.uniform(0, 2)), 0.0)
-            got = detect.flag_anomalies(errors, ts, thr)
+            got = detect.flag_anomalies(errors, ts, thr.value)
             hits = [i for i in range(n) if errors[i] > thr.value]
             assert got.dtype == detect.ANOMALY_DTYPE
             assert columns(got) == ([int(ts[i]) for i in hits],
@@ -92,8 +93,8 @@ class TestFlagAnomalies:
         thr = detect.compute_threshold(errors)
         scaled_thr = detect.compute_threshold(errors * 2.0)
         assert scaled_thr.value == 2.0 * thr.value
-        base = detect.flag_anomalies(errors, ts, thr)["timestamp"]
-        scaled = detect.flag_anomalies(errors * 2.0, ts, scaled_thr)["timestamp"]
+        base = detect.flag_anomalies(errors, ts, thr.value)["timestamp"]
+        scaled = detect.flag_anomalies(errors * 2.0, ts, scaled_thr.value)["timestamp"]
         assert base.tolist() == scaled.tolist()
 
     def test_length_mismatch(self):
@@ -103,18 +104,26 @@ class TestFlagAnomalies:
 
 class TestMergeConsecutiveAnomalies:
     def test_empty(self):
-        assert detect.merge_consecutive_anomalies([], 2) == []
+        events = detect.merge_consecutive_anomalies([], 2)
+        assert events.dtype == detect.EVENT_DTYPE and len(events) == 0
 
     def test_gap_two_example(self):
         points = [AnomalyPoint(10, 1.0), AnomalyPoint(11, 3.0),
                   AnomalyPoint(12, 2.0), AnomalyPoint(30, 5.0)]
         events = detect.merge_consecutive_anomalies(points, max_gap=2)
-        assert events == [AnomalyEvent(10, 12, 3.0), AnomalyEvent(30, 30, 5.0)]
+        assert events.dtype == detect.EVENT_DTYPE
+        assert events.tolist() == [(10, 12, 3.0), (30, 30, 5.0)]
 
     def test_gap_zero_merges_adjacent_only(self):
         points = [AnomalyPoint(1, 1.0), AnomalyPoint(2, 1.5), AnomalyPoint(4, 0.5)]
         events = detect.merge_consecutive_anomalies(points, max_gap=0)
-        assert events == [AnomalyEvent(1, 2, 1.5), AnomalyEvent(4, 4, 0.5)]
+        assert events.tolist() == [(1, 2, 1.5), (4, 4, 0.5)]
+
+    def test_int64_extremes_stay_apart(self):
+        # the gap between the two is beyond int64: it must not wrap to a merge
+        points = [AnomalyPoint(int(INT64.min), 1.0), AnomalyPoint(int(INT64.max), 2.0)]
+        assert detect.merge_consecutive_anomalies(points, 0).tolist() == \
+            [(INT64.min, INT64.min, 1.0), (INT64.max, INT64.max, 2.0)]
 
     @pytest.mark.parametrize("stamps", [(5, 3), (1, 3, 2)])
     def test_unsorted_rejected(self, stamps):
@@ -127,9 +136,9 @@ class TestMergeConsecutiveAnomalies:
            gap=st.integers(0, 6))
     def test_properties_against_bruteforce(self, rows, gap):
         points = [AnomalyPoint(t, e) for t, e in sorted(rows, key=lambda r: r[0])]
-        events = detect.merge_consecutive_anomalies(points, gap)
-        for a, b in zip(events, events[1:]):
-            assert b.start - a.end - 1 > gap
+        events = detect.merge_consecutive_anomalies(points, gap).tolist()
+        for (_, a_end, _), (b_start, _, _) in zip(events, events[1:]):
+            assert b_start - a_end - 1 > gap
         # per-second coverage: the points' seconds, with runs of at most
         # max_gap empty seconds between neighbouring points filled in
         stamps = sorted({p.timestamp for p in points})
@@ -137,14 +146,14 @@ class TestMergeConsecutiveAnomalies:
         for s1, s2 in zip(stamps, stamps[1:]):
             if s2 - s1 - 1 <= gap:
                 expected.update(range(s1 + 1, s2))
-        assert {t for e in events for t in range(e.start, e.end + 1)} == expected
+        assert {t for start, end, _ in events for t in range(start, end + 1)} == expected
         # each point in one event; an event spans its points and peaks at their maximum
         for p in points:
-            assert sum(e.start <= p.timestamp <= e.end for e in events) == 1
-        for e in events:
-            members = [p for p in points if e.start <= p.timestamp <= e.end]
-            assert (e.start, e.end) == (members[0].timestamp, members[-1].timestamp)
-            assert e.peak_error == max(p.error for p in members)
+            assert sum(start <= p.timestamp <= end for start, end, _ in events) == 1
+        for start, end, peak in events:
+            members = [p for p in points if start <= p.timestamp <= end]
+            assert (start, end) == (members[0].timestamp, members[-1].timestamp)
+            assert peak == max(p.error for p in members)
 
     def test_negative_gap_rejected(self):
         with pytest.raises(ConfigError):
@@ -228,7 +237,7 @@ class TestScoreDetections:
         assert report.f1 == 0.0
 
     def test_vacuous_case(self):
-        report = detect.score_detections([], [], frame_span=(0, 10))
+        report = detect.score_detections([], [], 10, "lead_only", (0, 10))
         assert report.precision == 1.0 and report.recall == 1.0
         assert report.accuracy == 1.0
 
@@ -307,7 +316,7 @@ class TestScoreDetections:
         table = detect.parse_anomaly_csv("timestamp,error\n5,1.0\n50,1.0\n-3,1.0\n11,1.0\n")
         for anomalies in (table, [AnomalyPoint(int(t), float(e)) for t, e in table.tolist()]):
             with pytest.raises(DataError, match=r"^anomaly \[50, 50\] outside frame span$"):
-                detect.score_detections(anomalies, [], frame_span=(0, 10))
+                detect.score_detections(anomalies, [], 10, "lead_only", (0, 10))
 
     def test_benchmark_counts_read_the_table(self):
         # The benchmark counts len() of the flag and parse results as its
@@ -331,17 +340,17 @@ class TestScoreDetections:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            detect.score_detections([], [], lead_window=-1, frame_span=(0, 1))
+            detect.score_detections([], [], -1, "lead_only", (0, 1))
         with pytest.raises(ConfigError):
-            detect.score_detections([], [], mode="bogus", frame_span=(0, 1))
+            detect.score_detections([], [], 10, "bogus", (0, 1))
         with pytest.raises(DataError):
-            detect.score_detections([], [], frame_span=(5, 4))
+            detect.score_detections([], [], 10, "lead_only", (5, 4))
         with pytest.raises(DataError):
-            detect.score_detections([AnomalyPoint(50, 1.0)], [], frame_span=(0, 10))
+            detect.score_detections([AnomalyPoint(50, 1.0)], [], 10, "lead_only", (0, 10))
         # a fault wholly outside the span is ground truth for other seconds,
         # even one whose stamps int64 cannot hold
         assert detect.score_detections([], [FaultEvent(50, 50), FaultEvent(2**64, 2**64)],
-                                       frame_span=(0, 10)).total_faults == 0
+                                       10, "lead_only", (0, 10)).total_faults == 0
 
 
 def anomaly_outcome(parse, text):
@@ -408,8 +417,8 @@ class TestAnomalyCsv:
             anomaly_outcome(detect._parse_anomaly_lines, text)
 
     def test_event_csv_format(self):
-        text = detect.format_event_csv([AnomalyEvent(1, 5, 2.5)])
-        assert text == "start,end,peak_error\n1,5,2.5\n"
+        events = np.array([(1, 5, 2.5), (7, 7, -0.0)], dtype=detect.EVENT_DTYPE)
+        assert detect.format_event_csv(events) == "start,end,peak_error\n1,5,2.5\n7,7,-0.0\n"
 
     @settings(deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-2**62, 2**62), finite)))
@@ -438,9 +447,6 @@ class TestAnomalyCsv:
     def test_numpy_scalar_rows(self):
         assert detect.format_anomaly_csv([AnomalyPoint(3, np.float64(0.5))]) == \
             "timestamp,error\n3,0.5\n"
-        events = [AnomalyEvent(np.int64(1), np.int64(5), np.float64(2.5)),
-                  AnomalyEvent(7, 7, np.float64(-0.0))]
-        assert detect.format_event_csv(events) == "start,end,peak_error\n1,5,2.5\n7,7,-0.0\n"
 
     def test_parses_bytes_like_text(self):
         text = "timestamp,error\r\n10,0.5\r\n\r\n42,1.25\n"

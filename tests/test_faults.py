@@ -112,8 +112,10 @@ class TestDetectCurrentDrops:
         with pytest.raises(ConfigError):
             faults.detect_current_drops(current_series([1.0]), 0.0)
 
-    def test_non_1hz_rejected(self):
-        s = RawSeries("c", np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("stamps", [[0.0, 2.0], [0.5, 1.5, 2.5]])
+    def test_non_1hz_rejected(self, stamps):
+        # a gap, or a step of one second off the integral grid
+        s = RawSeries("c", np.array(stamps), np.ones(len(stamps)))
         with pytest.raises(DataError):
             faults.detect_current_drops(s, 10.0)
 

@@ -95,7 +95,7 @@ class TestGenerateRun:
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
-            synth.SynthConfig(duration=0)
+            synth.SynthConfig(duration=0, seed=0)
 
     def test_channel_streams_independent(self):
         # changing position parameters must not perturb current or wiresum
