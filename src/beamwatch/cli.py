@@ -25,7 +25,7 @@ from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
 from .errors import BeamwatchError, ConfigError, DataError
 from .ioutil import (atomic_write_bytes, atomic_write_text, atomic_writer, file_sha256,
-                     map_optional_bytes, read_input, remove_file)
+                     map_optional_bytes, read_input, remove_file, stream_input)
 
 
 # A parse-cache entry: this tag, the sha256 of the input bytes, the row
@@ -48,14 +48,17 @@ def _cached_table(entry, digest: bytes) -> np.ndarray | None:
     return np.frombuffer(entry, dtype="<f8", offset=_CACHE_HEADER).reshape(2, n)
 
 
+def _write_entry(entry_path: Path, digest: bytes, series: data.RawSeries) -> None:
+    atomic_write_bytes(entry_path, _CACHE_TAG, digest, len(series).to_bytes(8, "little"),
+                       np.ascontiguousarray(series.timestamps, dtype="<f8"),
+                       np.ascontiguousarray(series.values, dtype="<f8"))
+
+
 def _parse_and_cache(raw: bytes, entry_path: Path, name: str) -> data.RawSeries:
     """The series parsed from `raw`, written, once it is known to be valid,
     to the entry keyed by the digest of these very bytes."""
     series = data.parse_series_csv(raw, name)
-    atomic_write_bytes(entry_path, _CACHE_TAG, hashlib.sha256(raw).digest(),
-                       len(series).to_bytes(8, "little"),
-                       np.ascontiguousarray(series.timestamps, dtype="<f8"),
-                       np.ascontiguousarray(series.values, dtype="<f8"))
+    _write_entry(entry_path, hashlib.sha256(raw).digest(), series)
     return series
 
 
@@ -63,18 +66,25 @@ def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
     """Read one series file, named after its stem, through the parse cache
     in `<output_dir>/.series_cache/<stem>`.
 
-    A hit hashes the file in chunks and views the read-only mapped entry,
-    so the file is never held in memory whole; a miss reads and parses it.
+    A hit hashes the file in chunks and views the read-only mapped entry. A
+    miss parses a plain file a block at a time into the entry's table,
+    hashing the blocks for the entry's key, and views the series in it. So
+    neither holds the file in memory whole. A miss that the blocks cannot
+    decide reads and parses the whole file, which names any error's line.
     """
     name = Path(path).stem
     entry_path = Path(cfg.output_dir) / ".series_cache" / name
-    digest = file_sha256(path)
-    table = _cached_table(map_optional_bytes(entry_path), digest)
+    table = _cached_table(map_optional_bytes(entry_path), file_sha256(path))
     if table is not None:
         # RawSeries checks the table again; an entry that fails is a miss.
         with contextlib.suppress(BeamwatchError):
             return data.RawSeries(name, table[0], table[1])
-    return read_input(path, _parse_and_cache, entry_path, name)
+    parsed = hashlib.sha256()
+    series = stream_input(path, data.read_plain_series, name, parsed)
+    if series is None:
+        return read_input(path, _parse_and_cache, entry_path, name)
+    _write_entry(entry_path, parsed.digest(), series)
+    return series
 
 
 def _read_series(cfg: RunConfig) -> list[data.RawSeries]:
@@ -92,6 +102,16 @@ def _ground_truth(cfg: RunConfig, current: data.AlignedFrame) -> list[faults.Fau
                              current.values[:, 0])
     lists.append(faults.detect_current_drops(series, cfg.current_drop_threshold))
     return faults.merge_event_lists(lists, cfg.coalesce_gap)
+
+
+@contextlib.contextmanager
+def _derived_from(*paths):
+    """Put `paths`, the input files the block's data come from, in front of
+    a DataError it raises, as `read_input` does for an error in one file."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
 def _test_split(frame: data.AlignedFrame, train_fraction: float) -> data.AlignedFrame:
@@ -148,9 +168,10 @@ def cmd_train(cfg: RunConfig) -> None:
     current = _read_current(cfg)
     truth = _ground_truth(cfg, current)
     clean = data.remove_fault_neighborhoods(train_frame, truth, cfg.fault_margin)
-    stats = data.compute_channel_stats(clean)
-    standardized = data.standardize(clean, stats)
-    ws = data.make_windows(standardized, cfg.window_k)
+    with _derived_from(*cfg.series_files):
+        stats = data.compute_channel_stats(clean)
+        standardized = data.standardize(clean, stats)
+        ws = data.make_windows(standardized, cfg.window_k)
 
     model = ae.init_model(ae.AutoencoderConfig(
         window_k=cfg.window_k, feature_m=len(series), hidden_dim=cfg.hidden_dim,
@@ -200,7 +221,8 @@ def cmd_detect(cfg: RunConfig) -> None:
         )
     test_frame = _test_split(data.align_and_fill(series), cfg.train_fraction)
     standardized = data.standardize(test_frame, model.channel_stats)
-    ws = data.make_windows(standardized, model.config.window_k)
+    with _derived_from(*cfg.series_files):
+        ws = data.make_windows(standardized, model.config.window_k)
 
     errors = ae.reconstruction_errors(model, ws.windows)
     flagged = detect.flag_anomalies(errors, ws.end_timestamps, model.threshold)
@@ -223,13 +245,15 @@ def cmd_detect(cfg: RunConfig) -> None:
 def cmd_eval(cfg: RunConfig) -> None:
     """Score the anomaly CSV against ground truth over the test span."""
     out = Path(cfg.output_dir)
-    anomalies = read_input(out / "anomalies.csv", detect.parse_anomaly_csv)
+    anomalies_path = out / "anomalies.csv"
+    anomalies = read_input(anomalies_path, detect.parse_anomaly_csv)
     current = _read_current(cfg)
     truth = _ground_truth(cfg, current)
     test = _test_split(current, cfg.train_fraction)
     span = (int(test.timestamps[0]), int(test.timestamps[-1]))
-    report = detect.score_detections(anomalies, truth, cfg.lead_window,
-                                     cfg.scoring_mode, span)
+    with _derived_from(anomalies_path):
+        report = detect.score_detections(anomalies, truth, cfg.lead_window,
+                                         cfg.scoring_mode, span)
     _write_report(out, "eval_report", "evaluation report", vars(report))
     print(f"eval: precision {report.precision:.3f} recall {report.recall:.3f} "
           f"accuracy {report.accuracy:.3f} f1 {report.f1:.3f}")

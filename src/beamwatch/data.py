@@ -6,8 +6,9 @@ standardized with training-set statistics, and cut into stride-1 sliding
 windows: rows s..s+k-1 form a window exactly when ts[s+k-1] - ts[s] == k-1,
 so none crosses a gap left by removed or missing seconds. Series CSVs are
 the only text format here, written to an open file a block of rows at a
-time; aligned frames live in memory only. `plain_csv_table` is the one-pass
-reader of plain CSV bytes that the series and anomaly parsers share.
+time and read from one a block of lines at a time (`read_plain_series`);
+aligned frames live in memory only. `_plain_rows` is the one-pass reader of
+plain CSV rows that the series blocks and the anomaly parser share.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -143,16 +144,16 @@ def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeri
     row is rejected with its line number.
 
     A valid file written only with ASCII digits, signs, points, exponents,
-    commas, blanks and line ends is parsed in one C-level pass. Any other
-    text, and every invalid file, goes through the line loop, which decides
-    acceptance and names the offending line; both give bitwise equal arrays.
+    commas, blanks and line ends is parsed by `read_plain_series` a block at
+    a time. Any other text, and every invalid file, goes through the line
+    loop, which decides acceptance and names the offending line; both give
+    bitwise equal arrays.
     """
-    table = plain_csv_table(text, SERIES_CSV_HEADER, _SERIES_DTYPE)
-    if table is not None:
-        # RawSeries checks the values; a table that fails goes to the line loop.
-        with contextlib.suppress(DataError, OrderError):
-            return RawSeries(channel_name, np.ascontiguousarray(table["timestamp"]),
-                             np.ascontiguousarray(table["value"]))
+    raw = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
+    if isinstance(raw, bytes):
+        series = read_plain_series(io.BytesIO(raw), channel_name)
+        if series is not None:
+            return series
     return _parse_series_lines(as_text(text), channel_name)
 
 
@@ -164,37 +165,105 @@ _SERIES_DTYPE = np.dtype([("timestamp", "<f8"), ("value", "<f8")])
 # non-ASCII byte.
 _PLAIN_CSV_BYTES = b"0123456789.,+-eE \t\r\n"
 
+# Bytes of a series CSV body that `read_plain_series` reads and parses at a
+# time, so it never holds a whole input besides the table it fills.
+_PARSE_BLOCK_BYTES = 1 << 16
 
-def plain_csv_table(source: str | bytes, header: str, dtype: np.dtype) -> np.ndarray | None:
-    """The rows of a plain CSV as one structured array of `dtype`, one
-    field per column, or None when the caller's line loop must decide.
 
-    A plain CSV starts with the line `header` and holds nothing but
-    `_PLAIN_CSV_BYTES` after it. `loadtxt` reads its bytes past the header
+def _is_header(source: bytes, head: bytes) -> bool:
+    """Whether the first line of `source` ends in "\n" and is `head`, less
+    any trailing "\r"s."""
+    nl = source.find(b"\n")
+    return nl >= 0 and source[:nl].rstrip(b"\r") == head
+
+
+def _plain_rows(source: bytes, dtype: np.dtype, head: bytes = b"") -> np.ndarray | None:
+    """The CSV rows of `source`, after its header line `head` if one is
+    given (the caller has checked it), as one structured array of `dtype`,
+    or None when the caller's line loop must decide.
+
+    The rows must hold nothing but `_PLAIN_CSV_BYTES`. `loadtxt` reads them
     in one pass, with no decoded text, body copy or UCS-4 buffer. A wrong
     field count, a number that does not parse as its field's type (an int64
     field takes no point, exponent or out-of-range value) and any warning,
-    such as the one for a body with no rows, give None, so the caller
-    checks only the values.
+    such as the one for no rows, give None.
     """
-    if isinstance(source, str):
-        if not source.isascii():
-            return None
-        source = source.encode("ascii")
-    head = header.encode("ascii")
-    nl = source.find(b"\n")
-    if nl < 0 or source[:nl].rstrip(b"\r") != head:
-        return None
-    # The header is checked, so any residue beyond its own comes from the body.
+    # Any residue beyond the header's own comes from the rows.
     if source.translate(None, _PLAIN_CSV_BYTES) != head.translate(None, _PLAIN_CSV_BYTES):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return np.loadtxt(io.BytesIO(source), dtype=dtype, delimiter=",",
-                              comments=None, skiprows=1, ndmin=1)
+                              comments=None, skiprows=1 if head else 0, ndmin=1)
     except (ValueError, Warning):
         return None
+
+
+def plain_csv_table(source: str | bytes, header: str, dtype: np.dtype) -> np.ndarray | None:
+    """The rows of a plain CSV as one structured array of `dtype`, one
+    field per column, or None when the caller's line loop must decide.
+
+    A plain CSV starts with the line `header` and holds nothing but
+    `_PLAIN_CSV_BYTES` after it; its rows are read as `_plain_rows` says.
+    """
+    if isinstance(source, str):
+        if not source.isascii():
+            return None
+        source = source.encode("ascii")
+    head = header.encode("ascii")
+    return _plain_rows(source, dtype, head) if _is_header(source, head) else None
+
+
+def _line_blocks(fh: BinaryIO, digest) -> Iterator[bytes]:
+    """The first line of `fh`, then the rest in blocks of `_PARSE_BLOCK_BYTES`,
+    each run on to the end of its last line; each block goes to `digest` (a
+    hashlib object), if one is given, before it is yielded."""
+    block = fh.readline()
+    while block:
+        if digest is not None:
+            digest.update(block)
+        yield block
+        block = fh.read(_PARSE_BLOCK_BYTES)
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+
+
+def read_plain_series(fh: BinaryIO, channel_name: str, digest=None) -> RawSeries | None:
+    """The series of the plain series CSV in the binary file `fh`, which must
+    be at its start, or None when the line loop must decide.
+
+    A first pass counts the line ends, which bounds the rows, and so sizes
+    the [2, rows] float64 table of stamps, then values, that a parse-cache
+    entry holds. The second pass reads the file in `_line_blocks`, feeding
+    each to `digest`, and parses each block of rows with one `loadtxt`
+    (`_plain_rows`) into the table. The series views the table's rows.
+
+    None for a header or block that is not plain or does not parse, for
+    more rows than the count (the file grew between the passes) and for
+    values that RawSeries rejects; it may then have read `fh` only in part.
+    """
+    capacity = sum(chunk.count(b"\n")
+                   for chunk in iter(lambda: fh.read(_PARSE_BLOCK_BYTES), b""))
+    fh.seek(0)
+    blocks = _line_blocks(fh, digest)
+    if not _is_header(next(blocks, b""), SERIES_CSV_HEADER.encode("ascii")):
+        return None
+    table = np.empty((2, capacity))
+    n = 0
+    for block in blocks:
+        if not block.lstrip(b" \t\r\n"):
+            continue  # blank lines only: no rows, on which loadtxt warns
+        rows = _plain_rows(block, _SERIES_DTYPE)
+        if rows is None or n + len(rows) > capacity:
+            return None
+        table[0, n:n + len(rows)] = rows["timestamp"]
+        table[1, n:n + len(rows)] = rows["value"]
+        n += len(rows)
+    # RawSeries checks the values; a table that fails goes to the line loop.
+    with contextlib.suppress(DataError, OrderError):
+        return RawSeries(channel_name, table[0, :n], table[1, :n])
+    return None
 
 
 def _parse_series_lines(text: str, channel_name: str) -> RawSeries:
@@ -343,8 +412,12 @@ def standardize(frame: AlignedFrame, stats: ChannelStats) -> AlignedFrame:
 
 
 def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
-    """Copy out every k rows s..s+k-1 with ts[s+k-1] - ts[s] == k-1 (k
-    consecutive seconds, so no gap inside), each tagged with its last stamp.
+    """Every k rows s..s+k-1 with ts[s+k-1] - ts[s] == k-1 (k consecutive
+    seconds, so no gap inside), each tagged with its last stamp.
+
+    When every row starts a window (a frame with no gap, such as a test
+    split), the windows are a read-only strided view of the frame's values,
+    k times smaller than a copy; otherwise they are a fresh copy.
     """
     if k < 1:
         raise ConfigError(f"window size must be >= 1, got {k}")
@@ -354,4 +427,5 @@ def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
     if len(starts) == 0:
         raise DataError(f"no contiguous segment of length >= {k}")
     rows = np.lib.stride_tricks.sliding_window_view(frame.values, (k, frame.values.shape[1]))
-    return _unchecked(WindowSet, rows[starts, 0], ts[starts + k - 1])
+    windows = rows[:, 0] if len(starts) == n else rows[starts, 0]
+    return _unchecked(WindowSet, windows, ts[starts + k - 1])

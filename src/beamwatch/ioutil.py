@@ -1,9 +1,10 @@
-"""Small file helpers: every input is parsed through `read_input`, so an
-error in it names the file, and every output is written atomically, so a
-failing run never leaves a partial file behind (`remove_file` deletes an
-output that a run makes stale). The parse cache also hashes
-inputs in fixed chunks (`file_sha256`) and maps its own entries read-only
-(`map_optional_bytes`), so a cache hit never holds a whole file in memory."""
+"""Small file helpers: every input is parsed through `read_input`, or read
+as it is parsed through `stream_input`, so an error in it names the file,
+and every output is written atomically, so a failing run never leaves a
+partial file behind (`remove_file` deletes an output that a run makes
+stale). The parse cache also hashes inputs in fixed chunks (`file_sha256`)
+and maps its own entries read-only (`map_optional_bytes`), so a cache hit
+never holds a whole file in memory."""
 
 from __future__ import annotations
 
@@ -25,6 +26,18 @@ def _umask() -> int:
     return mask
 
 
+@contextlib.contextmanager
+def _errors_name(path: str | Path) -> Iterator[None]:
+    """Re-raise an error of the block with `path` in front: any
+    BeamwatchError as its own type, a failed UTF-8 decode as ParseError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except BeamwatchError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_input(path: str | Path, parse, *args):
     """Return `parse(raw, *args)` for the bytes `raw` of `path`.
 
@@ -32,12 +45,16 @@ def read_input(path: str | Path, parse, *args):
     undecodable file raises ParseError here; any BeamwatchError from `parse`
     is re-raised with the path in front, so every input error names its file.
     """
-    try:
+    with _errors_name(path):
         return parse(Path(path).read_bytes(), *args)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    except BeamwatchError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+
+
+def stream_input(path: str | Path, parse, *args):
+    """Return `parse(fh, *args)` for `path` open as a binary file, which
+    `parse` reads as it goes, so the file need not be held whole; errors
+    name the file as `read_input`'s do."""
+    with _errors_name(path), open(path, "rb") as fh:
+        return parse(fh, *args)
 
 
 def as_text(source: str | bytes) -> str:

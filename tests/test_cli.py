@@ -233,6 +233,52 @@ class TestPipeline:
         assert not (out / "eval_report.txt").exists()
 
 
+class TestDerivedDataErrorsNameInputs:
+    """An error found in data derived from input files names those files."""
+
+    def run_fails(self, capsys, root, command, *pairs):
+        args = [command, "--config", str(root / "run.cfg")]
+        for pair in pairs:
+            args += ["--set", pair]
+        assert main(args) == 1
+        return capsys.readouterr().err
+
+    def series_paths(self, root):
+        cfg = cfgmod.load_run_config(root / "run.cfg", {})
+        return ", ".join(cfg.series_files)
+
+    def test_train_without_windows(self, pipeline_dir, tmp_path, capsys):
+        err = self.run_fails(capsys, pipeline_dir, "train", "window_k=1000",
+                             f"model_file={tmp_path / 'model.json'}")
+        assert err == (f"error: {self.series_paths(pipeline_dir)}: "
+                       "no contiguous segment of length >= 1000\n")
+
+    def test_train_with_every_row_removed(self, pipeline_dir, tmp_path, capsys):
+        err = self.run_fails(capsys, pipeline_dir, "train", "fault_margin=100000",
+                             f"model_file={tmp_path / 'model.json'}")
+        assert err == (f"error: {self.series_paths(pipeline_dir)}: "
+                       "cannot compute stats on an empty frame\n")
+
+    def test_detect_without_windows(self, pipeline_dir, tmp_path, capsys):
+        err = self.run_fails(capsys, pipeline_dir, "detect", "train_fraction=0.999",
+                             f"output_dir={tmp_path}")
+        assert err == (f"error: {self.series_paths(pipeline_dir)}: "
+                       "no contiguous segment of length >= 30\n")
+        assert not (tmp_path / "anomalies.csv").exists()
+
+    def test_eval_anomaly_outside_span(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("")
+        (tmp_path / "current.csv").write_text(
+            "timestamp,value\n" + "".join(f"{t},90.0\n" for t in range(200)))
+        (tmp_path / "faults.csv").write_text("start\n150\n")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "anomalies.csv").write_text("timestamp,error\n50,2.5\n")
+        err = self.run_fails(capsys, tmp_path, "eval")
+        assert err == (f"error: {tmp_path / 'out' / 'anomalies.csv'}: "
+                       "anomaly [50, 50] outside frame span\n")
+        assert not (tmp_path / "out" / "eval_report.json").exists()
+
+
 class TestDeterminism:
     def test_byte_identical_artifacts_and_reports(self, tmp_path):
         digests = []

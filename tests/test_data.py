@@ -88,17 +88,19 @@ stamps = st.one_of(finite, st.integers(-10**6, 10**12).map(float),
 @st.composite
 def series_texts(draw, plain=False):
     """A valid series CSV: strictly increasing stamps and finite values over
-    the whole double range. Unless `plain`, line endings are mixed and blank
-    or whitespace-only lines sit between rows."""
+    the whole double range, with empty lines between rows and line ends of
+    "\n" or "\r\n". Unless `plain`, lone "\r" line ends and whitespace-only
+    lines are mixed in too."""
     ts = sorted(draw(st.lists(stamps, unique=True, max_size=25)))
     eol = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
-    blanks = st.lists(st.sampled_from(["", " ", "\t "]), max_size=0 if plain else 2)
+    blanks = st.lists(st.sampled_from([""] if plain else ["", " ", "\t "]), max_size=2)
     fmt = st.sampled_from(NUMBER_FORMATS)
     parts = [data.SERIES_CSV_HEADER, draw(eol)]
-    for t in ts:
+    for t in [*ts, None]:
         for blank in draw(blanks):
             parts += [blank, draw(eol)]
-        parts += [f"{draw(fmt)(t)},{draw(fmt)(draw(finite))}", draw(eol)]
+        if t is not None:
+            parts += [f"{draw(fmt)(t)},{draw(fmt)(draw(finite))}", draw(eol)]
     if ts and draw(st.booleans()):
         parts.pop()
     return "".join(parts)
@@ -614,6 +616,18 @@ class TestMakeWindows:
         assert ws.end_timestamps.tolist() == [2, 3, 7, 8]
         ws.windows[...] = 0.0
         assert np.array_equal(frame.values, before)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_gap_free_windows_are_a_read_only_view(self, rng, k):
+        frame = frame_of(np.arange(100, 108), rng.standard_normal((8, 2)))
+        ws = data.make_windows(frame, k=k)
+        copies = np.stack([frame.values[j:j + k] for j in range(8 - k + 1)])
+        assert ws.windows.dtype == np.float64 and ws.windows.shape == copies.shape
+        assert np.array_equal(ws.windows, copies)
+        assert np.shares_memory(ws.windows, frame.values) and not ws.windows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ws.windows[0, 0, 0] = 0.0
+        assert ws.end_timestamps.tolist() == list(range(100 + k - 1, 108))
 
     @pytest.mark.parametrize("n_rows,k", [(0, 1), (0, 30), (3, 4), (29, 30), (1, 10**6)])
     def test_too_few_rows_rejected(self, rng, n_rows, k):

@@ -14,7 +14,7 @@ import numpy as np
 from beamwatch import ioutil
 from beamwatch.errors import DataError, ParseError
 from beamwatch.ioutil import (as_text, atomic_write_bytes, atomic_write_text, atomic_writer,
-                              file_sha256, map_optional_bytes, read_input)
+                              file_sha256, map_optional_bytes, read_input, stream_input)
 
 
 @pytest.fixture
@@ -124,3 +124,29 @@ def test_read_input_names_the_file(tmp_path):
 
     with pytest.raises(DataError, match=f"^{path}: no rows$"):
         read_input(path, reject)
+
+
+def test_stream_input_hands_over_the_open_file(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"a\r\nb\xc2\xb5\r")
+    handles = []
+
+    def parse(fh, size):
+        handles.append(fh)
+        return fh.read(size), fh.read()
+
+    assert stream_input(path, parse, 3) == (b"a\r\n", b"b\xc2\xb5\r")
+    assert handles[0].closed
+
+
+def test_stream_input_names_the_file(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"ok\xff")
+    with pytest.raises(ParseError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
+        stream_input(path, lambda fh: fh.read().decode("utf-8"))
+
+    def reject(fh):
+        raise DataError("no rows")
+
+    with pytest.raises(DataError, match=f"^{path}: no rows$"):
+        stream_input(path, reject)

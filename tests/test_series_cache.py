@@ -21,7 +21,7 @@ from beamwatch.config import RunConfig
 from beamwatch.errors import BeamwatchError, OrderError, ParseError
 
 from conftest import traced_peak
-from test_data import parse_outcome, series_texts
+from test_data import mangled_series_texts, parse_outcome, series_texts
 
 TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.5,-3e-300\n"
 
@@ -41,7 +41,15 @@ def arrays(s: data.RawSeries) -> tuple:
 @contextlib.contextmanager
 def no_parse():
     """Fail the block if it parses a series: what it reads must be a hit."""
-    with mock.patch.object(data, "parse_series_csv", side_effect=AssertionError("parsed")):
+    with mock.patch.object(data, "parse_series_csv", side_effect=AssertionError("parsed")), \
+            mock.patch.object(data, "read_plain_series", side_effect=AssertionError("parsed")):
+        yield
+
+
+@contextlib.contextmanager
+def streamed_only():
+    """Fail the block if a miss falls back to the whole-bytes parse."""
+    with mock.patch.object(cli, "read_input", side_effect=AssertionError("read whole")):
         yield
 
 
@@ -67,6 +75,94 @@ def test_hit_bitwise_equals_miss(text, line_loop):
     want = parse_outcome(data.parse_series_csv, text)
     assert arrays(miss) == arrays(hit) == want
     assert hit.channel_name == miss.channel_name == "ch"
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_texts(plain=True), st.sampled_from([1, 2, 5, 16, 64, 1 << 16]))
+def test_streamed_parse_bitwise_equals_whole_and_line_loop(text, block):
+    # small blocks cut rows, "\r\n" pairs and runs of empty lines at their
+    # edges; a last line may lack its line end
+    raw = text.encode()
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(data, "_PARSE_BLOCK_BYTES", block)
+        streamed = data.read_plain_series(io.BytesIO(raw), "ch")
+        whole = parse_outcome(data.parse_series_csv, raw)
+        path, out = Path(tmp) / "ch.csv", Path(tmp) / "out"
+        path.write_bytes(raw)
+        with streamed_only():
+            miss = read(path, out)
+        entry = entry_of(path, out).read_bytes()
+    assert streamed is not None
+    want = parse_outcome(data._parse_series_lines, text)
+    assert arrays(streamed) == arrays(miss) == whole == want
+    assert entry[8:40] == hashlib.sha256(raw).digest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mangled_series_texts(), st.sampled_from([1, 7, 64, 1 << 16]))
+def test_cold_read_of_any_text_matches_the_line_loop(text, block):
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(data, "_PARSE_BLOCK_BYTES", block)
+        path, out = Path(tmp) / "ch.csv", Path(tmp) / "out"
+        path.write_bytes(text.encode())
+        try:
+            got = arrays(read(path, out))
+        except BeamwatchError as exc:
+            kind, message = type(exc), str(exc)
+            assert message.startswith(f"{path}: ")
+            got = kind, message[len(f"{path}: "):]
+    assert got == parse_outcome(data._parse_series_lines, text)
+
+
+class GrowsOnRewind(io.BytesIO):
+    """A file that gains two rows after its first pass."""
+
+    def seek(self, pos, whence=0):
+        super().seek(0, io.SEEK_END)
+        self.write(b"5,1\n6,1\n")
+        return super().seek(pos, whence)
+
+
+def test_more_rows_than_counted_is_left_to_the_whole_parse():
+    grown = GrowsOnRewind(b"timestamp,value\n0,1\n")
+    assert data.read_plain_series(grown, "ch") is None
+    assert data.read_plain_series(io.BytesIO(grown.getvalue()), "ch").values.tolist() == [1] * 3
+
+
+LATE = [f"{t},90.0" for t in range(200)]
+
+
+@pytest.mark.parametrize("row, error", [
+    ("188,9O.0", ParseError),
+    ("188,90.0,1", ParseError),
+    ("187,90.0", OrderError),
+    ("188,nan", ParseError),
+], ids=["number", "fields", "order", "non-finite"])
+def test_bad_row_in_a_late_block_names_its_line(tmp_path, capsys, monkeypatch, row, error):
+    monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 64)
+    text = "\n".join(["timestamp,value", *LATE[:188], row, *LATE[189:]]) + "\n"
+    kind, message = parse_outcome(data._parse_series_lines, text)
+    assert kind is error and message.startswith("line 190: ")
+    (tmp_path / "run.cfg").write_text("")
+    (tmp_path / "current.csv").write_text(text)
+    (tmp_path / "faults.csv").write_text("start\n150\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "anomalies.csv").write_text("timestamp,error\n145,2.5\n")
+    assert cli.main(["eval", "--config", str(tmp_path / "run.cfg")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'current.csv'}: {message}\n"
+    assert not entry_of(tmp_path / "current.csv", tmp_path / "out").exists()
+
+
+def test_valid_non_plain_late_block_falls_back(box, monkeypatch):
+    # a late row the blocks cannot read but the line loop accepts
+    path, out = box
+    monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 16)
+    text = "\n".join(["timestamp,value", *LATE[:150], "150, 1_5.0", *LATE[151:]]) + "\n"
+    path.write_text(text)
+    assert data.read_plain_series(io.BytesIO(text.encode()), "ch") is None
+    assert arrays(read(path, out)) == parse_outcome(data._parse_series_lines, text)
+    with no_parse():
+        assert read(path, out).values[150] == 15.0
 
 
 def test_entry_layout(box):
@@ -116,6 +212,21 @@ def test_hit_never_holds_the_file_in_memory(tmp_path):
         hit, peak = traced_peak(lambda: read(path, out))
     assert arrays(hit) == arrays(miss)
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_cold_read_never_holds_the_file_in_memory(tmp_path, rng):
+    path, out = tmp_path / "current.csv", tmp_path / "out"
+    n = 100_000
+    series = data.RawSeries("current", np.arange(n) + 1.6e9, rng.standard_normal(n))
+    with path.open("w") as fh:
+        data.format_series_csv(series, fh)
+    with streamed_only():
+        miss, peak = traced_peak(lambda: read(path, out))
+    assert arrays(miss) == arrays(series)
+    # the [2, n] table of the entry, plus a few blocks in flight
+    table = 16 * (n + 1)
+    assert peak < table + 8 * data._PARSE_BLOCK_BYTES < path.stat().st_size, \
+        (peak, table, path.stat().st_size)
 
 
 def test_one_changed_byte_reparses(box):
