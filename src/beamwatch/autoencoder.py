@@ -213,8 +213,10 @@ def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
     enc_seq, enc_cache = nn.lstm_forward_batch(x_fm, model.encoder_lstm, keep_cache)
     latent = enc_seq[-1]
     latent_d = latent if latent_mask is None else latent * latent_mask.T
-    dec_seq, dec_cache = nn.lstm_forward_repeat(latent_d, k, model.decoder_lstm, keep_cache)
-    dec_d = dec_seq if dec_mask is None else dec_seq * np.swapaxes(dec_mask, 1, 2)
+    dec_d, dec_cache = nn.lstm_forward_repeat(latent_d, k, model.decoder_lstm, keep_cache)
+    if dec_mask is not None:
+        # in place: BPTT reads the cache, not the decoder's hidden states
+        dec_d *= np.swapaxes(dec_mask, 1, 2)
     dense = model.output_dense
     recon_fm = dense.weight @ dec_d
     recon_fm += dense.bias[:, None]

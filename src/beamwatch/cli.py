@@ -221,8 +221,9 @@ def cmd_detect(cfg: RunConfig) -> None:
         )
     test_frame = _test_split(data.align_and_fill(series), cfg.train_fraction)
     standardized = data.standardize(test_frame, model.channel_stats)
+    k = model.config.window_k
     with _derived_from(*cfg.series_files):
-        ws = data.make_windows(standardized, model.config.window_k)
+        ws = data.make_windows(standardized, k)
 
     errors = ae.reconstruction_errors(model, ws.windows)
     flagged = detect.flag_anomalies(errors, ws.end_timestamps, model.threshold)
@@ -239,6 +240,17 @@ def cmd_detect(cfg: RunConfig) -> None:
     else:
         atomic_write_text(out / "anomaly_events.csv", detect.format_event_csv(events))
         message += f", merged into {len(events)} events"
+    # what detect scored: its test span, whose first k-1 seconds end no
+    # window and so can never be flagged
+    record = {
+        "test_span": [int(test_frame.timestamps[0]), int(test_frame.timestamps[-1])],
+        "train_fraction": cfg.train_fraction,
+        "window_k": k,
+        "blind_leading_seconds": k - 1,
+        "n_windows": len(ws),
+        "n_anomalies": len(flagged),
+    }
+    _write_report(out, "detect_report", "detection report", record)
     print(message + f" -> {out}")
 
 

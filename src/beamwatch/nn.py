@@ -11,11 +11,12 @@ gradient sets mirror those dicts shape for shape.
 The feature-major `*_batch` / `*_repeat` ops stack many sequences into one
 matrix product per timestep, one column per sequence, and are the only path
 the model runs on, for training and inference alike; both forward ops share
-one step loop, which keeps the per-step caches (gate activations, cell state
-and its tanh) only when BPTT will need them, and both backward ops share one
-BPTT loop. `lstm_cell_forward` and `dense_forward` are single-step serial
-references that the tests check the batched ops against; the other serial
-oracles live with the tests.
+one step loop, which keeps the per-step caches (gate activations and cell
+state) only when BPTT will need them, and both backward ops share one BPTT
+loop, which recomputes tanh of the cell state and the previous hidden state
+from them, bit for bit what the forward computed. `lstm_cell_forward` and
+`dense_forward` are single-step serial references that the tests check the
+batched ops against; the other serial oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -301,12 +302,15 @@ def finite_diff_grad(
 # works on [features, n] blocks and a sequence batch is [k, features, n]. Each
 # step computes the [4*hidden, n] pre-activation z = W_h @ h + W_in @ x + b,
 # whose i|f|g|o gate blocks are contiguous row ranges, and applies the gate
-# activations to it in place. The forward pass keeps, per step, the
-# activations, the cell state and tanh of it; BPTT reuses one [4*hidden, n]
-# buffer for the pre-activation gradient and accumulates the weight gradients
-# step by step. Results agree with the serial ops up to floating-point
-# reassociation. Columns never mix: a column's result depends only on that
-# column's input and on the batch shape.
+# activations to it in place. The forward pass keeps, per step, only the
+# activations and the cell state. BPTT recomputes tanh(c_t) and
+# h_{t-1} = o_{t-1} * tanh(c_{t-1}) from them, one tanh and one product a
+# step on the very arrays the forward read, so they are bitwise the values
+# the forward computed; it reuses one [4*hidden, n] buffer for the
+# pre-activation gradient and accumulates the weight gradients step by step.
+# Results agree with the serial ops up to floating-point reassociation.
+# Columns never mix: a column's result depends only on that column's input
+# and on the batch shape.
 
 
 def _gate_blocks(a: np.ndarray, hd: int):
@@ -327,17 +331,20 @@ def _lstm_steps(params: LstmLayerParams, k: int, n: int, add_input,
 
     add_input(z, t) adds step t's input projection plus bias into the
     [4*hidden, n] pre-activation z. Returns the [k, hidden, n] hidden
-    states. Only when `cache` is given does it keep what BPTT needs in it:
-    per step the activations [4*hidden, n], the cell state and its tanh.
+    states. Each step's tanh(c) goes to one [hidden, n] buffer that every
+    step reuses. Only when `cache` is given does it keep what BPTT needs in
+    it: per step the activations [4*hidden, n] and the cell state
+    [hidden, n]; BPTT recomputes tanh(c) and the hidden states from them.
     """
     hd = params.hidden_dim
     w_h = params.recurrent_kernel
     h_seq = np.empty((k, hd, n))
     c = np.zeros((hd, n))
     ig = np.empty((hd, n))
-    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    tanh_c = np.empty((hd, n))
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
     if cache is not None:
-        cache.update(steps=steps, h_seq=h_seq)
+        cache["steps"] = steps
     with np.errstate(over="ignore"):
         for t in range(k):
             z = w_h @ h_seq[t - 1] if t else np.zeros((4 * hd, n))
@@ -349,10 +356,10 @@ def _lstm_steps(params: LstmLayerParams, k: int, n: int, add_input,
             c = f * c
             np.multiply(i, g, out=ig)
             c += ig
-            tanh_c = np.tanh(c)
+            np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h_seq[t])
             if cache is not None:
-                steps.append((z, c, tanh_c))
+                steps.append((z, c))
     return h_seq
 
 
@@ -426,8 +433,9 @@ def _lstm_bptt(
     input-kernel and bias gradients depend on how inputs were fed, so the
     caller accumulates them there.
     """
-    steps, h_seq = cache["steps"], cache["h_seq"]
-    k, hd, n = h_seq.shape
+    steps = cache["steps"]
+    k = len(steps)
+    hd, n = steps[0][1].shape
     w_h_t = np.ascontiguousarray(params.recurrent_kernel.T)
     dz = np.empty((4 * hd, n))
     dz_i, dz_f, dz_g, dz_o = _gate_blocks(dz, hd)
@@ -436,8 +444,12 @@ def _lstm_bptt(
     dh = np.zeros((hd, n)) if d_h_last is None else np.array(d_h_last, dtype=np.float64)
     dc = np.zeros((hd, n))
     tmp = np.empty((hd, n))
+    # tanh(c) of this step and of the one before, swapped as t falls
+    tanh_c = np.tanh(steps[-1][1])
+    tanh_prev = np.empty((hd, n))
+    h_prev = np.empty((hd, n))
     for t in range(k - 1, -1, -1):
-        act, c, tanh_c = steps[t]
+        act, _ = steps[t]
         i, f, g, o = _gate_blocks(act, hd)
         if d_h_seq is not None:
             dh += d_h_seq[t]
@@ -457,15 +469,20 @@ def _lstm_bptt(
         dz_ifg *= dc
         dz_i *= g
         if t:
-            dz_f *= steps[t - 1][1]
+            act_prev, c_prev = steps[t - 1]
+            dz_f *= c_prev
         else:
             dz_f.fill(0.0)
         dz_g *= i
         dc *= f
         input_grad(t, dz)
         if t:
-            d_rec += dz @ h_seq[t - 1].T
+            # h_{t-1} = o_{t-1} * tanh(c_{t-1}), as the forward computed it
+            np.tanh(c_prev, out=tanh_prev)
+            np.multiply(act_prev[3 * hd:], tanh_prev, out=h_prev)
+            d_rec += dz @ h_prev.T
             np.matmul(w_h_t, dz, out=dh)
+            tanh_c, tanh_prev = tanh_prev, tanh_c
     return d_rec
 
 

@@ -1,14 +1,19 @@
 """Serial reference ops that only the tests use: single-step LSTM backward,
 a whole sequence through the single-step cell, inverted dropout as a
-function of the mode, the row-at-a-time series CSV writer and the
+function of the mode, the batched LSTM step loops that cache tanh(c) and
+the hidden states for BPTT, the row-at-a-time series CSV writer and the
 whole-array run generator. The batched ops in `beamwatch.nn` are checked
-against these and agree up to floating-point reassociation; the block
-writer in `beamwatch.data` must match the row writer, and the block
-generator in `beamwatch.synth` the whole-array one, bit for bit."""
+against the serial ops and agree up to floating-point reassociation; the
+recomputing BPTT in `beamwatch.nn` must match the caching one, the block
+writer in `beamwatch.data` the row writer, and the block generator in
+`beamwatch.synth` the whole-array one, bit for bit."""
+
+import contextlib
 
 import numpy as np
+import pytest
 
-from beamwatch import synth
+from beamwatch import nn, synth
 from beamwatch.data import SERIES_CSV_HEADER, AlignedFrame, RawSeries
 from beamwatch.errors import ConfigError, ShapeError
 from beamwatch.nn import LstmCellCache, LstmLayerParams, dropout_mask, lstm_cell_forward
@@ -86,6 +91,92 @@ def dropout_apply(
     if rng is None:
         raise ConfigError("train-mode dropout requires a seeded rng")
     return x * dropout_mask(np.shape(x), rate, rng)
+
+
+def caching_lstm_steps(params: LstmLayerParams, k: int, n: int, add_input,
+                       cache: dict | None) -> np.ndarray:
+    """`nn._lstm_steps` caching, per step, tanh(c) beside the activations
+    and the cell state, and the hidden states as a copy: the caller may
+    scale the returned stack in place, and BPTT reads the states as the
+    forward made them."""
+    hd = params.hidden_dim
+    w_h = params.recurrent_kernel
+    h_seq = np.empty((k, hd, n))
+    c = np.zeros((hd, n))
+    ig = np.empty((hd, n))
+    steps = []
+    with np.errstate(over="ignore"):
+        for t in range(k):
+            z = w_h @ h_seq[t - 1] if t else np.zeros((4 * hd, n))
+            add_input(z, t)
+            i, f, g, o = nn._gate_blocks(z, hd)
+            nn._sigmoid_in_place(z[:2 * hd])
+            np.tanh(g, out=g)
+            nn._sigmoid_in_place(o)
+            c = f * c
+            np.multiply(i, g, out=ig)
+            c += ig
+            tanh_c = np.tanh(c)
+            np.multiply(o, tanh_c, out=h_seq[t])
+            steps.append((z, c, tanh_c))
+    if cache is not None:
+        cache.update(steps=steps, h_seq=h_seq.copy())
+    return h_seq
+
+
+def caching_lstm_bptt(cache: dict, params: LstmLayerParams, d_h_seq, d_h_last,
+                      input_grad) -> np.ndarray:
+    """`nn._lstm_bptt` reading the tanh(c) and hidden states that
+    `caching_lstm_steps` stored, where nn recomputes them."""
+    steps, h_seq = cache["steps"], cache["h_seq"]
+    k, hd, n = h_seq.shape
+    w_h_t = np.ascontiguousarray(params.recurrent_kernel.T)
+    dz = np.empty((4 * hd, n))
+    dz_i, dz_f, dz_g, dz_o = nn._gate_blocks(dz, hd)
+    dz_ifg = dz[:3 * hd].reshape(3, hd, n)
+    d_rec = np.zeros((4 * hd, hd))
+    dh = np.zeros((hd, n)) if d_h_last is None else np.array(d_h_last, dtype=np.float64)
+    dc = np.zeros((hd, n))
+    tmp = np.empty((hd, n))
+    for t in range(k - 1, -1, -1):
+        act, c, tanh_c = steps[t]
+        i, f, g, o = nn._gate_blocks(act, hd)
+        if d_h_seq is not None:
+            dh += d_h_seq[t]
+        np.subtract(1.0, act, out=dz)
+        dz *= act
+        np.multiply(g, g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh
+        dc += tmp
+        dz_o *= dh
+        dz_o *= tanh_c
+        dz_ifg *= dc
+        dz_i *= g
+        if t:
+            dz_f *= steps[t - 1][1]
+        else:
+            dz_f.fill(0.0)
+        dz_g *= i
+        dc *= f
+        input_grad(t, dz)
+        if t:
+            d_rec += dz @ h_seq[t - 1].T
+            np.matmul(w_h_t, dz, out=dh)
+    return d_rec
+
+
+@contextlib.contextmanager
+def caching_lstm():
+    """Run nn's LSTM forward and backward ops, and so the model's training
+    step, on the caching step loops above while the block runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "_lstm_steps", caching_lstm_steps)
+        patch.setattr(nn, "_lstm_bptt", caching_lstm_bptt)
+        yield
 
 
 def format_series_csv(series: RawSeries) -> str:

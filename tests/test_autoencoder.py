@@ -17,7 +17,8 @@ from beamwatch.data import ChannelStats
 from beamwatch.detect import compute_threshold
 from beamwatch.errors import ConfigError, DataError, ParseError, ShapeError, VersionError
 
-from conftest import rel_err
+from conftest import rel_err, traced_peak
+from oracles import caching_lstm
 
 TINY = ae.AutoencoderConfig(window_k=5, feature_m=2, hidden_dim=4,
                             dropout_rate=0.0, seed=7)
@@ -347,6 +348,44 @@ class TestFullModelGradients:
         fd = nn.finite_diff_grad(loss_fn, model.parameters(), h=1e-6)
         for name in grads:
             assert rel_err(grads[name], fd[name]) < 1e-5, name
+
+    @settings(max_examples=30, deadline=None)
+    @example(k=1, m=1, hd=1, n=1, rate=0.5, seed=0)
+    @given(k=st.integers(1, 5), m=st.integers(1, 3), hd=st.integers(1, 5),
+           n=st.integers(1, 5), rate=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_training_step_is_bitwise_the_caching_step(self, k, m, hd, n, rate, seed):
+        # the decoder's dropout now scales its hidden states in place, and
+        # BPTT recomputes tanh(c) and h: the loss and every gradient are
+        # bitwise those of the caching loops, masks or none
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, k, m, hd, dropout_rate=rate)
+        x = rng.standard_normal((n, k, m))
+        masks = (nn.dropout_mask((n, hd), rate, rng),
+                 nn.dropout_mask((k, n, hd), rate, rng)) if rate else (None, None)
+        loss, grads = ae.batch_loss_and_grads(model, x, *masks)
+        with caching_lstm():
+            want_loss, want_grads = ae.batch_loss_and_grads(model, x, *masks)
+        assert loss == want_loss
+        assert list(grads) == list(want_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+
+    def test_training_step_memory_at_the_reference_size(self):
+        """One training step at the README model size (k=30, m=3, h=64) on a
+        default batch of 64 windows with dropout masks traces 12.5 MiB; with
+        tanh(c) and h cached per step and a masked copy of the decoder's
+        states it traced 16.2 MiB. 14 MiB sits between the two."""
+        model = ae.init_model(ae.AutoencoderConfig())
+        k, m, hd = model.config.window_k, model.config.feature_m, model.config.hidden_dim
+        n = ae.TrainConfig().batch_size
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((n, k, m))
+        latent_mask = nn.dropout_mask((n, hd), 0.2, rng)
+        dec_mask = nn.dropout_mask((k, n, hd), 0.2, rng)
+        _, peak = traced_peak(lambda: ae.batch_loss_and_grads(model, x, latent_mask, dec_mask))
+        assert peak < 14 * 2**20, peak / 2**20
+
 
 class TestSerialization:
     def _calibrated_model(self):

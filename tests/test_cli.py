@@ -1,11 +1,19 @@
 """End-to-end CLI tests on a small synthetic run, plus config parsing."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
+import math
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import beamwatch
 from beamwatch import autoencoder as ae
@@ -136,6 +144,7 @@ class TestPipeline:
         assert (out / "anomaly_events.csv").exists()
 
     @pytest.mark.parametrize("name, title", [("train_report", "training report"),
+                                             ("detect_report", "detection report"),
                                              ("eval_report", "evaluation report")])
     def test_text_report_mirrors_json(self, pipeline_dir, name, title):
         doc = json.loads((pipeline_dir / "out" / f"{name}.json").read_text())
@@ -145,6 +154,27 @@ class TestPipeline:
         for line, (key, value) in zip(lines[2:], doc.items()):
             if isinstance(value, float):
                 assert line == f"{key}: {value:.6f}"
+
+    def test_detect_record_is_its_own_test_split(self, pipeline_dir, tmp_path):
+        # with the head of wiresum.csv cut, the aligned series start later
+        # than current.csv, and the record follows detect's own grid
+        lines = (pipeline_dir / "wiresum.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "wiresum.csv").write_text(lines[0] + "".join(lines[101:]))
+        start, end = int(lines[101].split(",")[0]), int(lines[-1].split(",")[0])
+        series = [str(tmp_path / "wiresum.csv"), str(pipeline_dir / "xpos.csv"),
+                  str(pipeline_dir / "ypos.csv")]
+        out = tmp_path / "out"
+        assert main(["detect", "--config", str(pipeline_dir / "run.cfg"),
+                     "--set", f"series_files={','.join(series)}",
+                     "--set", f"output_dir={out}"]) == 0
+        record = json.loads((out / "detect_report.json").read_text())
+        first = start + math.floor(0.5 * (end - start + 1))
+        stamps = [int(line.split(",")[0])
+                  for line in (out / "anomalies.csv").read_text().splitlines()[1:]]
+        assert record == {"test_span": [first, end], "train_fraction": 0.5, "window_k": 30,
+                          "blind_leading_seconds": 29, "n_windows": end - first + 1 - 29,
+                          "n_anomalies": len(stamps)}
+        assert stamps and first + 29 <= min(stamps) and max(stamps) <= end
 
     def test_eval_report(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "out" / "eval_report.json").read_text())
@@ -432,3 +462,85 @@ class TestEvalScenario:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: malformed model document")
         assert len(err.strip().splitlines()) == 1
+
+
+TINY_CFG = """
+synth_duration = 400
+synth_n_faults = 2
+synth_seed = 3
+window_k = 8
+hidden_dim = 4
+epochs = 1
+"""
+
+# each input file of a run and the stages that read it, in pipeline order
+READERS = {
+    "wiresum.csv": ("train", "detect"),
+    "xpos.csv": ("train", "detect"),
+    "ypos.csv": ("train", "detect"),
+    "current.csv": ("train", "eval"),
+    "faults.csv": ("train", "eval"),
+    "model.json": ("detect",),
+    "out/anomalies.csv": ("eval",),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A whole pipeline run at the smallest useful size, made once."""
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "run.cfg").write_text(TINY_CFG)
+    for command in ("synth", "train", "detect", "eval"):
+        assert main([command, "--config", str(root / "run.cfg")]) == 0
+    return root
+
+
+def _file_digests(root: Path) -> dict[str, bytes]:
+    """sha256 of every file under `root` but the parse cache's entries,
+    which a mutated but valid series may rewrite."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).digest()
+            for p in root.rglob("*") if p.is_file() and ".series_cache" not in p.parts}
+
+
+_MUTATION = st.tuples(st.sampled_from(["cut", "insert", "duplicate"]),
+                      st.floats(0, 1), st.floats(0, 1),
+                      st.sampled_from([b",", b"\n", b"\r", b" ", b"-", b"1e999", b"nan",
+                                       b"x", b"9", b"0.5", b'"', b"{", b"\xff"]))
+
+
+def _mutate(raw: bytes, kind: str, a: float, b: float, token: bytes) -> bytes:
+    lo, hi = sorted((round(a * len(raw)), round(b * len(raw))))
+    if kind == "cut":
+        return raw[:lo] + raw[hi:]
+    if kind == "insert":
+        return raw[:lo] + token + raw[lo:]
+    return raw[:hi] + raw[lo:hi] + raw[hi:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(READERS)), mutations=st.lists(_MUTATION, min_size=1,
+                                                                 max_size=3))
+def test_mutated_inputs_fail_cleanly(tiny_run, name, mutations):
+    """Cut, insert a token into or duplicate a slice of one input file, then
+    run each stage that reads it: `main` returns 0 or 1 and never raises; on
+    1, stderr is one `error: ` line, no `*.tmp` is left and no file outside
+    the parse cache changed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "run"
+        shutil.copytree(tiny_run, root)
+        raw = (root / name).read_bytes()
+        for mutation in mutations:
+            raw = _mutate(raw, *mutation)
+        (root / name).write_bytes(raw)
+        for command in READERS[name]:
+            before = _file_digests(root)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(root / "run.cfg")])
+            assert code in (0, 1), command
+            event(f"{command} exit {code}")
+            assert not list(root.rglob("*.tmp")), command
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+                assert _file_digests(root) == before, command

@@ -12,7 +12,8 @@ from beamwatch import nn
 from beamwatch.errors import ConfigError, NumericError, ShapeError
 
 from conftest import random_lstm_params, rel_err, zero_lstm_params
-from oracles import dropout_apply, lstm_cell_backward, lstm_sequence_forward
+from oracles import (caching_lstm, dropout_apply, lstm_cell_backward,
+                     lstm_sequence_forward)
 
 
 class TestLstmCellForward:
@@ -325,7 +326,10 @@ class TestBatchLstmForward:
         for row in range(n):
             want = lstm_sequence_forward(seqs[:, row], params, return_sequences=True)
             assert np.max(np.abs(h_seq[:, :, row] - want)) < 1e-12
-        assert len(cache["steps"]) == k and cache["h_seq"] is h_seq
+        # BPTT's cache is, per step, the activations and the cell state only
+        assert len(cache["steps"]) == k
+        for act, c in cache["steps"]:
+            assert act.shape == (4 * hd, n) and c.shape == (hd, n)
         assert no_cache is None
         assert np.array_equal(bare, h_seq)
 
@@ -459,3 +463,36 @@ def test_feature_major_ops_match_cell_ops_and_finite_differences(k, n, d, hd, re
     fd = nn.finite_diff_grad(loss_fn, params.tensors("p"), h=1e-6)
     for name in grads:
         assert rel_err(grads[name], fd[f"p.{name}"]) < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@example(k=1, n=1, d=1, hd=1, feed="both", seed=0)
+@given(k=st.integers(1, 6), n=st.integers(1, 5), d=st.integers(1, 3), hd=st.integers(1, 5),
+       feed=st.sampled_from(["seq", "last", "both"]), seed=st.integers(0, 2**32 - 1))
+def test_recomputing_bptt_is_bitwise_the_caching_bptt(k, n, d, hd, feed, seed):
+    """BPTT recomputes tanh(c) and the hidden states that the caching loops
+    stored, from the same arrays with the same operations, so every gradient
+    is bitwise the caching loops' (`oracles.caching_lstm`). The repeat op
+    takes d_h_seq only."""
+    rng = np.random.default_rng(seed)
+    params = random_lstm_params(rng, d, hd)
+    seqs = rng.standard_normal((k, d, n))
+    x = rng.standard_normal((d, n))
+    d_h_seq = rng.standard_normal((k, hd, n)) if feed != "last" else None
+    d_h_last = rng.standard_normal((hd, n)) if feed != "seq" else None
+    d_h_rep = rng.standard_normal((k, hd, n))
+
+    def run():
+        h_batch, cache = nn.lstm_forward_batch(seqs, params)
+        h_rep, rep_cache = nn.lstm_forward_repeat(x, k, params)
+        return (h_batch, h_rep, nn.lstm_backward_batch(cache, params, d_h_seq, d_h_last),
+                nn.lstm_backward_repeat(rep_cache, params, d_h_rep))
+
+    h_batch, h_rep, grads, (d_x, rep_grads) = run()
+    with caching_lstm():
+        want_batch, want_rep, want_grads, (want_dx, want_rep_grads) = run()
+    assert np.array_equal(h_batch, want_batch) and np.array_equal(h_rep, want_rep)
+    assert np.array_equal(d_x, want_dx)
+    for name in nn.LstmLayerParams.TENSORS:
+        assert np.array_equal(grads[name], want_grads[name]), name
+        assert np.array_equal(rep_grads[name], want_rep_grads[name]), name
