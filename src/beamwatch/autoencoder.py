@@ -11,12 +11,15 @@ and each layer class's `TENSORS`.
 
 Training and inference run the same batched forward from `nn`. Its edges
 are time-major ([k, n, m] windows in, reconstructions out); inside, every
-array is feature-major, one column per window. Training applies the dropout
-masks and keeps the per-step caches for BPTT; inference (`forward`,
-`reconstruction_errors`) is eval mode only, with dropout off and no caches,
-and works in zero-padded chunks of `INFERENCE_CHUNK` windows, so every
-matrix product has one shape and a window's result is bitwise the same
-whatever batch, chunk or column it is in.
+array is feature-major, one column per window. `train_epochs` and
+`reconstruction_errors` take a `data.WindowSet` or a plain [n, k, m] array
+and gather one minibatch or one chunk of windows at a time. Training
+applies the dropout masks and keeps the per-step caches for BPTT;
+inference (`forward`, `reconstruction_errors`) is eval mode only, with
+dropout off and no caches, and works in zero-padded chunks of
+`INFERENCE_CHUNK` windows, so every matrix product has one shape and a
+window's result is bitwise the same whatever batch, chunk or column it is
+in.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import ChannelStats
+from .data import ChannelStats, WindowSet
 from .errors import (BeamwatchError, ConfigError, DataError, NumericError, ParseError,
                      ShapeError, VersionError)
 from .ioutil import as_text, atomic_write_text, read_input
@@ -211,7 +214,9 @@ def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
     k = model.config.window_k
     x_fm = np.ascontiguousarray(np.swapaxes(batch_tm, 1, 2))
     enc_seq, enc_cache = nn.lstm_forward_batch(x_fm, model.encoder_lstm, keep_cache)
-    latent = enc_seq[-1]
+    # a copy, so that the encoder's [k, h, n] stack is freed before the decoder runs
+    latent = enc_seq[-1].copy()
+    del enc_seq
     latent_d = latent if latent_mask is None else latent * latent_mask.T
     dec_d, dec_cache = nn.lstm_forward_repeat(latent_d, k, model.decoder_lstm, keep_cache)
     if dec_mask is not None:
@@ -230,12 +235,32 @@ def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
     return recon_tm, cache
 
 
-def _chunked_forward(model: ModelArtifact, batch: np.ndarray):
+def _window_source(config: AutoencoderConfig, windows: WindowSet | np.ndarray):
+    """The number of windows in a WindowSet or a [n, k, m] array, and a
+    function that gathers the windows at `idx` (an index array or a slice)
+    as a [len, k, m] array: for a set with start rows, the rows
+    `frame_windows[starts[idx]]`, so no copy of every window is made."""
+    starts = None
+    if isinstance(windows, WindowSet):
+        windows, starts = windows.frame_windows, windows.starts
+    rows = _check_batch(config, windows)
+    if starts is None:
+        return len(rows), rows.__getitem__
+    return len(starts), lambda idx: rows[starts[idx]]
+
+
+def _chunked_forward(model: ModelArtifact, n: int, take):
     """Yield (lo, padded time-major input chunk, its reconstruction) for the
-    zero-padded chunks of INFERENCE_CHUNK windows of a [n, k, m] batch."""
-    batch_tm = np.swapaxes(batch, 0, 1)
-    for lo in range(0, batch.shape[0], INFERENCE_CHUNK):
-        part = batch_tm[:, lo:lo + INFERENCE_CHUNK]
+    zero-padded chunks of INFERENCE_CHUNK of the n windows that `take`
+    gathers (see `_window_source`), one chunk at a time.
+
+    `take` must give what slicing the [n, k, m] windows array gives,
+    strides included: `np.pad` keeps a Fortran-ordered part (as a
+    one-channel batch's is) Fortran-ordered, and the order in which a
+    window's error is summed follows the chunk's layout.
+    """
+    for lo in range(0, n, INFERENCE_CHUNK):
+        part = np.swapaxes(take(slice(lo, lo + INFERENCE_CHUNK)), 0, 1)
         chunk_tm = np.pad(part, [(0, 0), (0, INFERENCE_CHUNK - part.shape[1]), (0, 0)])
         recon_tm, _ = _forward_batch_cached(model, chunk_tm, None, None, keep_cache=False)
         yield lo, chunk_tm, recon_tm
@@ -252,24 +277,28 @@ def forward(model: ModelArtifact, batch: np.ndarray, mode: str = "eval") -> np.n
         raise ConfigError(f"mode must be 'eval', got {mode!r}")
     batch = _check_batch(model.config, batch)
     recon = np.empty_like(batch)
-    for lo, _, recon_tm in _chunked_forward(model, batch):
+    for lo, _, recon_tm in _chunked_forward(model, len(batch), batch.__getitem__):
         recon[lo:lo + INFERENCE_CHUNK] = np.swapaxes(recon_tm[:, :len(batch) - lo], 0, 1)
     return recon
 
 
-def reconstruction_errors(model: ModelArtifact, windows: np.ndarray) -> np.ndarray:
-    """Per-window mean absolute reconstruction error, eval mode.
+def reconstruction_errors(model: ModelArtifact,
+                          windows: WindowSet | np.ndarray) -> np.ndarray:
+    """Per-window mean absolute reconstruction error, eval mode, of a
+    WindowSet or a [n, k, m] array of windows.
 
-    Each chunk's errors are reduced over the whole padded chunk and sliced
+    A set's windows are gathered from its start rows one chunk at a time,
+    so the call holds one chunk of windows, never all of them. Each
+    chunk's errors are reduced over the whole padded chunk and sliced
     afterwards: a reduction over a slice can take a different summation
     order for different slice widths, and then a window's error would
     depend on how many windows share its chunk.
     """
-    windows = _check_batch(model.config, windows)
-    errors = np.empty(len(windows))
-    for lo, chunk_tm, recon_tm in _chunked_forward(model, windows):
+    n, take = _window_source(model.config, windows)
+    errors = np.empty(n)
+    for lo, chunk_tm, recon_tm in _chunked_forward(model, n, take):
         chunk_errors = np.mean(np.abs(recon_tm - chunk_tm), axis=(0, 2))
-        errors[lo:lo + INFERENCE_CHUNK] = chunk_errors[:len(windows) - lo]
+        errors[lo:lo + INFERENCE_CHUNK] = chunk_errors[:n - lo]
     return errors
 
 
@@ -278,15 +307,20 @@ def reconstruction_errors(model: ModelArtifact, windows: np.ndarray) -> np.ndarr
 
 
 def _backward_batch(model: ModelArtifact, d_recon_tm: np.ndarray, cache) -> dict[str, np.ndarray]:
+    """BPTT through the model. It takes the decoder's parts out of `cache`
+    and drops them once the decoder is done, so that they are freed before
+    the encoder's BPTT runs."""
     d_fm = np.ascontiguousarray(np.swapaxes(d_recon_tm, 1, 2))
-    dec_d = cache["dec_d"]
+    dec_d = cache.pop("dec_d")
     g_dense_w = (d_fm @ np.swapaxes(dec_d, 1, 2)).sum(axis=0)
     g_dense_b = d_fm.sum(axis=(0, 2))
-    d_dec_seq = model.output_dense.weight.T @ d_fm
+    # nothing reads the decoder's states again: their buffer takes their gradient
+    d_dec_seq = np.matmul(model.output_dense.weight.T, d_fm, out=dec_d)
     if cache["dec_mask"] is not None:
         d_dec_seq *= np.swapaxes(cache["dec_mask"], 1, 2)
-    d_latent, dec_grads = nn.lstm_backward_repeat(cache["dec_cache"],
+    d_latent, dec_grads = nn.lstm_backward_repeat(cache.pop("dec_cache"),
                                                   model.decoder_lstm, d_dec_seq)
+    del dec_d, d_dec_seq
     if cache["latent_mask"] is not None:
         d_latent *= cache["latent_mask"].T
     enc_grads = nn.lstm_backward_batch(cache["enc_cache"], model.encoder_lstm,
@@ -310,17 +344,19 @@ def batch_loss_and_grads(model: ModelArtifact, batch: np.ndarray,
     return loss, _backward_batch(model, d_recon_tm, cache)
 
 
-def train_epochs(model: ModelArtifact, windows: np.ndarray,
+def train_epochs(model: ModelArtifact, windows: WindowSet | np.ndarray,
                  tcfg: TrainConfig) -> tuple[ModelArtifact, list[float]]:
-    """Minibatch training with Adam; each window is its own target.
+    """Minibatch training with Adam on a WindowSet or a [n, k, m] array of
+    windows; each window is its own target.
 
     Windows are reshuffled every epoch from a dedicated seeded stream, and
     dropout masks come from a second stream, so runs with identical seeds
-    produce identical loss histories. Returns the trained artifact and the
-    per-epoch mean of batch losses.
+    produce identical loss histories. Each minibatch is gathered on its
+    own, from a set's start rows, so no copy of every window is made; the
+    bits are those of a plain array of the same windows. Returns the
+    trained artifact and the per-epoch mean of batch losses.
     """
-    windows = _check_batch(model.config, windows)
-    n = windows.shape[0]
+    n, take = _window_source(model.config, windows)
     if n == 0:
         raise DataError("no windows to train on")
     if tcfg.epochs == 0:
@@ -339,7 +375,7 @@ def train_epochs(model: ModelArtifact, windows: np.ndarray,
         batch_losses = []
         for lo in range(0, n, tcfg.batch_size):
             idx = order[lo:lo + tcfg.batch_size]
-            batch = windows[idx]
+            batch = take(idx)
             if rate > 0.0:
                 latent_mask = nn.dropout_mask((len(idx), hd), rate, dropout_rng)
                 dec_mask = nn.dropout_mask((k, len(idx), hd), rate, dropout_rng)

@@ -178,9 +178,9 @@ def cmd_train(cfg: RunConfig) -> None:
         dropout_rate=cfg.dropout_rate, seed=cfg.model_seed))
     tcfg = ae.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                           shuffle_seed=cfg.shuffle_seed)
-    model, history = ae.train_epochs(model, ws.windows, tcfg)
+    model, history = ae.train_epochs(model, ws, tcfg)
 
-    train_errors = ae.reconstruction_errors(model, ws.windows)
+    train_errors = ae.reconstruction_errors(model, ws)
     thr = detect.compute_threshold(train_errors, cfg.threshold_multiplier)
     span = (int(train_frame.timestamps[0]), int(train_frame.timestamps[-1]))
     provenance = ae.Provenance(__version__, span, len(ws))

@@ -109,21 +109,45 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Sliding windows [n, k, m] with each window's last-row epoch second."""
+    """Sliding windows with each window's last-row epoch second.
 
-    windows: np.ndarray
+    `frame_windows` [r, k, m] holds every k rows of a frame, and `starts`
+    the rows of it that are this set's windows, in order; None means all
+    of them. `make_windows` gives a read-only strided view of the frame's
+    values there, so the set copies no window. Training and inference
+    gather the windows they need from the two, a minibatch or a chunk at a
+    time; `windows` builds the set's [n, k, m] array.
+    """
+
+    frame_windows: np.ndarray
     end_timestamps: np.ndarray
+    starts: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.windows.ndim != 3:
-            raise ShapeError(f"windows must be [n, k, m], got {self.windows.shape}")
-        if self.end_timestamps.shape != (self.windows.shape[0],):
+        if self.frame_windows.ndim != 3:
+            raise ShapeError(f"frame windows must be [r, k, m], got {self.frame_windows.shape}")
+        starts = self.starts
+        if starts is not None:
+            if starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer):
+                raise ShapeError(f"window starts must be a 1-D integer array, "
+                                 f"got {starts.dtype} of shape {starts.shape}")
+            if not (np.all(starts[1:] > starts[:-1]) and
+                    np.all((starts >= 0) & (starts < len(self.frame_windows)))):
+                raise OrderError("window starts must be strictly increasing rows "
+                                 "of frame_windows")
+        if self.end_timestamps.shape != (len(self),):
             raise ShapeError("one end timestamp per window required")
         if not np.all(self.end_timestamps[1:] > self.end_timestamps[:-1]):
             raise OrderError("window end timestamps not strictly increasing")
 
     def __len__(self) -> int:
-        return self.windows.shape[0]
+        return len(self.frame_windows if self.starts is None else self.starts)
+
+    @property
+    def windows(self) -> np.ndarray:
+        """The [n, k, m] windows: `frame_windows` itself when every row
+        starts one, otherwise a fresh copy, built on each read."""
+        return self.frame_windows if self.starts is None else self.frame_windows[self.starts]
 
 
 def _unchecked(cls, *values):
@@ -415,9 +439,12 @@ def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
     """Every k rows s..s+k-1 with ts[s+k-1] - ts[s] == k-1 (k consecutive
     seconds, so no gap inside), each tagged with its last stamp.
 
+    The set keeps a read-only strided view of the frame's values and the
+    start rows, not the windows: its memory is per row, not per window row.
     When every row starts a window (a frame with no gap, such as a test
-    split), the windows are a read-only strided view of the frame's values,
-    k times smaller than a copy; otherwise they are a fresh copy.
+    split), `ws.windows` is that view, k times smaller than a copy;
+    otherwise, as for a training frame after fault removal, each read of
+    it gathers a fresh copy.
     """
     if k < 1:
         raise ConfigError(f"window size must be >= 1, got {k}")
@@ -427,5 +454,5 @@ def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
     if len(starts) == 0:
         raise DataError(f"no contiguous segment of length >= {k}")
     rows = np.lib.stride_tricks.sliding_window_view(frame.values, (k, frame.values.shape[1]))
-    windows = rows[:, 0] if len(starts) == n else rows[starts, 0]
-    return _unchecked(WindowSet, windows, ts[starts + k - 1])
+    return _unchecked(WindowSet, rows[:, 0], ts[starts + k - 1],
+                      None if len(starts) == n else starts)

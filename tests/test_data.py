@@ -708,6 +708,24 @@ class TestWindowSetValidation:
         with pytest.raises(OrderError, match="^window end timestamps not strictly increasing$"):
             data.WindowSet(np.zeros((2, 1, 1)), INT64_EXTREMES[::-1])
 
+    def test_start_rows_pick_the_windows(self):
+        rows = np.arange(5.0).reshape(5, 1, 1)
+        ws = data.WindowSet(rows, np.array([10, 14]), np.array([0, 4]))
+        assert len(ws) == 2 and ws.windows.ravel().tolist() == [0.0, 4.0]
+
+    @pytest.mark.parametrize("starts,error,message", [
+        ([0.0, 4.0], ShapeError, "^window starts must be a 1-D integer array"),
+        ([[0, 4]], ShapeError, "^window starts must be a 1-D integer array"),
+        ([4, 0], OrderError, "^window starts must be strictly increasing rows"),
+        ([0, 0], OrderError, "^window starts must be strictly increasing rows"),
+        ([-1, 4], OrderError, "^window starts must be strictly increasing rows"),
+        ([0, 5], OrderError, "^window starts must be strictly increasing rows"),
+        ([0, 2, 4], ShapeError, "^one end timestamp per window required$"),
+    ])
+    def test_bad_start_rows_rejected(self, starts, error, message):
+        with pytest.raises(error, match=message):
+            data.WindowSet(np.zeros((5, 1, 1)), np.array([10, 14]), np.array(starts))
+
 
 def assert_rebuilds(obj):
     """The public constructor accepts `obj`'s fields and keeps them as they are."""
