@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -54,23 +53,16 @@ def _write_entry(entry_path: Path, digest: bytes, series: data.RawSeries) -> Non
                        np.ascontiguousarray(series.values, dtype="<f8"))
 
 
-def _parse_and_cache(raw: bytes, entry_path: Path, name: str) -> data.RawSeries:
-    """The series parsed from `raw`, written, once it is known to be valid,
-    to the entry keyed by the digest of these very bytes."""
-    series = data.parse_series_csv(raw, name)
-    _write_entry(entry_path, hashlib.sha256(raw).digest(), series)
-    return series
-
-
 def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
     """Read one series file, named after its stem, through the parse cache
     in `<output_dir>/.series_cache/<stem>`.
 
     A hit hashes the file in chunks and views the read-only mapped entry. A
-    miss parses a plain file a block at a time into the entry's table,
-    hashing the blocks for the entry's key, and views the series in it. So
-    neither holds the file in memory whole. A miss that the blocks cannot
-    decide reads and parses the whole file, which names any error's line.
+    miss reads the file with `data.read_series`, which parses a plain file a
+    block at a time into the entry's table, hashing the blocks for the
+    entry's key, and views the series in it. So neither holds a plain file
+    in memory whole. What the blocks cannot decide, `read_series` reads
+    whole once and parses line by line, which names any error's line.
     """
     name = Path(path).stem
     entry_path = Path(cfg.output_dir) / ".series_cache" / name
@@ -79,21 +71,23 @@ def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
         # RawSeries checks the table again; an entry that fails is a miss.
         with contextlib.suppress(BeamwatchError):
             return data.RawSeries(name, table[0], table[1])
-    parsed = hashlib.sha256()
-    series = stream_input(path, data.read_plain_series, name, parsed)
-    if series is None:
-        return read_input(path, _parse_and_cache, entry_path, name)
-    _write_entry(entry_path, parsed.digest(), series)
+    series, digest = stream_input(path, data.read_series, name)
+    _write_entry(entry_path, digest, series)
     return series
 
 
-def _read_series(cfg: RunConfig) -> list[data.RawSeries]:
-    return [_read_series_file(p, cfg) for p in cfg.series_files]
+def _read_frame(cfg: RunConfig) -> data.AlignedFrame:
+    """Parse the series files and align them to the 1 Hz grid."""
+    series = [_read_series_file(p, cfg) for p in cfg.series_files]
+    with _derived_from(*cfg.series_files):
+        return data.align_and_fill(series)
 
 
 def _read_current(cfg: RunConfig) -> data.AlignedFrame:
     """Parse the beam-current file and align it to the 1 Hz grid."""
-    return data.align_and_fill([_read_series_file(cfg.current_file, cfg)])
+    current = _read_series_file(cfg.current_file, cfg)
+    with _derived_from(cfg.current_file):
+        return data.align_and_fill([current])
 
 
 def _ground_truth(cfg: RunConfig, current: data.AlignedFrame) -> list[faults.FaultEvent]:
@@ -161,8 +155,7 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     """Train on the cleaned chronological train split and save the artifact."""
-    series = _read_series(cfg)
-    frame = data.align_and_fill(series)
+    frame = _read_frame(cfg)
     train_frame, _ = data.chronological_split(frame, cfg.train_fraction)
 
     current = _read_current(cfg)
@@ -174,7 +167,7 @@ def cmd_train(cfg: RunConfig) -> None:
         ws = data.make_windows(standardized, cfg.window_k)
 
     model = ae.init_model(ae.AutoencoderConfig(
-        window_k=cfg.window_k, feature_m=len(series), hidden_dim=cfg.hidden_dim,
+        window_k=cfg.window_k, feature_m=len(frame.channels), hidden_dim=cfg.hidden_dim,
         dropout_rate=cfg.dropout_rate, seed=cfg.model_seed))
     tcfg = ae.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                           shuffle_seed=cfg.shuffle_seed)
@@ -213,13 +206,13 @@ def cmd_detect(cfg: RunConfig) -> None:
     if model.channel_stats is None or model.threshold is None:
         raise ConfigError(f"model {cfg.model_file} is not calibrated "
                           "(missing channel stats or threshold)")
-    series = _read_series(cfg)
-    if len(series) != model.config.feature_m:
+    frame = _read_frame(cfg)
+    if len(frame.channels) != model.config.feature_m:
         raise ConfigError(
             f"model was trained on {model.config.feature_m} channels but "
-            f"config names {len(series)} series files"
+            f"config names {len(frame.channels)} series files"
         )
-    test_frame = _test_split(data.align_and_fill(series), cfg.train_fraction)
+    test_frame = _test_split(frame, cfg.train_fraction)
     standardized = data.standardize(test_frame, model.channel_stats)
     k = model.config.window_k
     with _derived_from(*cfg.series_files):

@@ -6,14 +6,15 @@ standardized with training-set statistics, and cut into stride-1 sliding
 windows: rows s..s+k-1 form a window exactly when ts[s+k-1] - ts[s] == k-1,
 so none crosses a gap left by removed or missing seconds. Series CSVs are
 the only text format here, written to an open file a block of rows at a
-time and read from one a block of lines at a time (`read_plain_series`);
-aligned frames live in memory only. `_plain_rows` is the one-pass reader of
-plain CSV rows that the series blocks and the anomaly parser share.
+time and read from one by `read_series`, a block of lines at a time where
+it can; aligned frames live in memory only. `_plain_rows` reads the plain
+CSV rows of the series blocks and of the anomaly parser.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import math
 import warnings
@@ -168,17 +169,15 @@ def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeri
     row is rejected with its line number.
 
     A valid file written only with ASCII digits, signs, points, exponents,
-    commas, blanks and line ends is parsed by `read_plain_series` a block at
-    a time. Any other text, and every invalid file, goes through the line
+    commas, blanks and line ends is parsed by `read_series` a block at a
+    time. Any other text, and every invalid file, goes through the line
     loop, which decides acceptance and names the offending line; both give
     bitwise equal arrays.
     """
-    raw = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
-    if isinstance(raw, bytes):
-        series = read_plain_series(io.BytesIO(raw), channel_name)
-        if series is not None:
-            return series
-    return _parse_series_lines(as_text(text), channel_name)
+    if isinstance(text, str) and not text.isascii():
+        return _parse_series_lines(text, channel_name)
+    raw = text.encode("ascii") if isinstance(text, str) else text
+    return read_series(io.BytesIO(raw), channel_name)[0]
 
 
 _SERIES_DTYPE = np.dtype([("timestamp", "<f8"), ("value", "<f8")])
@@ -189,8 +188,8 @@ _SERIES_DTYPE = np.dtype([("timestamp", "<f8"), ("value", "<f8")])
 # non-ASCII byte.
 _PLAIN_CSV_BYTES = b"0123456789.,+-eE \t\r\n"
 
-# Bytes of a series CSV body that `read_plain_series` reads and parses at a
-# time, so it never holds a whole input besides the table it fills.
+# Bytes of a series CSV body that `read_series` reads and parses at a time,
+# so it never holds a whole plain input besides the table it fills.
 _PARSE_BLOCK_BYTES = 1 << 16
 
 
@@ -241,53 +240,54 @@ def plain_csv_table(source: str | bytes, header: str, dtype: np.dtype) -> np.nda
 
 def _line_blocks(fh: BinaryIO, digest) -> Iterator[bytes]:
     """The first line of `fh`, then the rest in blocks of `_PARSE_BLOCK_BYTES`,
-    each run on to the end of its last line; each block goes to `digest` (a
-    hashlib object), if one is given, before it is yielded."""
+    each run on to the end of its last line and fed to `digest` first."""
     block = fh.readline()
     while block:
-        if digest is not None:
-            digest.update(block)
+        digest.update(block)
         yield block
         block = fh.read(_PARSE_BLOCK_BYTES)
         if not block.endswith(b"\n"):
             block += fh.readline()
 
 
-def read_plain_series(fh: BinaryIO, channel_name: str, digest=None) -> RawSeries | None:
-    """The series of the plain series CSV in the binary file `fh`, which must
-    be at its start, or None when the line loop must decide.
+def read_series(fh: BinaryIO, channel_name: str) -> tuple[RawSeries, bytes]:
+    """The series of the series CSV in the binary file `fh`, at its start,
+    and the sha256 digest of the bytes it was parsed from.
 
-    A first pass counts the line ends, which bounds the rows, and so sizes
-    the [2, rows] float64 table of stamps, then values, that a parse-cache
-    entry holds. The second pass reads the file in `_line_blocks`, feeding
-    each to `digest`, and parses each block of rows with one `loadtxt`
-    (`_plain_rows`) into the table. The series views the table's rows.
-
-    None for a header or block that is not plain or does not parse, for
-    more rows than the count (the file grew between the passes) and for
-    values that RawSeries rejects; it may then have read `fh` only in part.
+    A plain file is parsed a block at a time: a first pass counts the line
+    ends to size the [2, rows] float64 table of stamps, then values, that a
+    parse-cache entry holds; a second parses each of the hashed
+    `_line_blocks` with one `loadtxt` (`_plain_rows`) into the table, which
+    the series views. What the blocks cannot decide (a header or block that
+    is not plain or does not parse, more rows than counted because the file
+    grew, values RawSeries rejects) is read whole once, from the start, and
+    parsed by the line loop, which names any error's line.
     """
+    digest = hashlib.sha256()
     capacity = sum(chunk.count(b"\n")
                    for chunk in iter(lambda: fh.read(_PARSE_BLOCK_BYTES), b""))
     fh.seek(0)
     blocks = _line_blocks(fh, digest)
-    if not _is_header(next(blocks, b""), SERIES_CSV_HEADER.encode("ascii")):
-        return None
-    table = np.empty((2, capacity))
-    n = 0
-    for block in blocks:
-        if not block.lstrip(b" \t\r\n"):
-            continue  # blank lines only: no rows, on which loadtxt warns
-        rows = _plain_rows(block, _SERIES_DTYPE)
-        if rows is None or n + len(rows) > capacity:
-            return None
-        table[0, n:n + len(rows)] = rows["timestamp"]
-        table[1, n:n + len(rows)] = rows["value"]
-        n += len(rows)
-    # RawSeries checks the values; a table that fails goes to the line loop.
-    with contextlib.suppress(DataError, OrderError):
-        return RawSeries(channel_name, table[0, :n], table[1, :n])
-    return None
+    if _is_header(next(blocks, b""), SERIES_CSV_HEADER.encode("ascii")):
+        table = np.empty((2, capacity))
+        n = 0
+        for block in blocks:
+            if not block.lstrip(b" \t\r\n"):
+                continue  # blank lines only: no rows, on which loadtxt warns
+            rows = _plain_rows(block, _SERIES_DTYPE)
+            if rows is None or n + len(rows) > capacity:
+                break
+            table[0, n:n + len(rows)] = rows["timestamp"]
+            table[1, n:n + len(rows)] = rows["value"]
+            n += len(rows)
+        else:
+            # RawSeries checks the values; a table that fails goes to the line loop.
+            with contextlib.suppress(DataError, OrderError):
+                return RawSeries(channel_name, table[0, :n], table[1, :n]), digest.digest()
+        del table  # not held through the line loop
+    fh.seek(0)
+    raw = fh.read()
+    return _parse_series_lines(as_text(raw), channel_name), hashlib.sha256(raw).digest()
 
 
 def _parse_series_lines(text: str, channel_name: str) -> RawSeries:
@@ -363,7 +363,13 @@ def align_and_fill(series: Sequence[RawSeries]) -> AlignedFrame:
     if start > end:
         raise DataError("channel supports do not overlap")
     n = end - start + 1
-    grid = np.arange(start, end + 1, dtype=np.int64)
+    try:
+        if start < -2**63 or end + 1 >= 2**63:  # past int64, arange gives [], no error
+            raise ValueError
+        grid = np.arange(start, end + 1, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise DataError(f"channel supports span {start:.10g} to {end:.10g} s, "
+                        "too long for a 1 Hz grid of int64 seconds") from None
     cols = []
     for s in series:
         if len(s) == n and np.array_equal(s.timestamps, grid):

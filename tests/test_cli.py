@@ -308,6 +308,35 @@ class TestDerivedDataErrorsNameInputs:
                        "anomaly [50, 50] outside frame span\n")
         assert not (tmp_path / "out" / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    def test_disjoint_series_supports(self, pipeline_dir, tmp_path, capsys, command):
+        root = tmp_path / "run"
+        shutil.copytree(pipeline_dir, root)
+        (root / "xpos.csv").write_text(
+            "timestamp,value\n" + "".join(f"{t},0.5\n" for t in range(1000, 1050)))
+        before = _file_digests(root)
+        err = self.run_fails(capsys, root, command)
+        assert err == f"error: {self.series_paths(root)}: channel supports do not overlap\n"
+        assert _file_digests(root) == before
+
+    @pytest.mark.parametrize("stamp", ["1e300", "9.3e18", "9223372036854775808", "1e17",
+                                       "-1e300"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_far_current_stamp(self, pipeline_dir, tmp_path, capsys, command, stamp):
+        # spans of at least 1e17 s: no grid of them can be allocated; to a
+        # stop of 2**63 + 1, numpy's int64 arange is empty, not an error
+        root = tmp_path / "run"
+        shutil.copytree(pipeline_dir, root)
+        path = root / "current.csv"
+        text, row = path.read_text(), f"{stamp},90.0\n"
+        # a negative stamp becomes the first row, any other the last
+        path.write_text(text.replace("\n", "\n" + row, 1) if stamp[0] == "-" else text + row)
+        before = _file_digests(root)
+        err = self.run_fails(capsys, root, command)
+        assert err.startswith(f"error: {path}: channel supports span ")
+        assert len(err.splitlines()) == 1
+        assert _file_digests(root) == before
+
 
 class TestDeterminism:
     def test_byte_identical_artifacts_and_reports(self, tmp_path):
@@ -505,7 +534,8 @@ def _file_digests(root: Path) -> dict[str, bytes]:
 _MUTATION = st.tuples(st.sampled_from(["cut", "insert", "duplicate"]),
                       st.floats(0, 1), st.floats(0, 1),
                       st.sampled_from([b",", b"\n", b"\r", b" ", b"-", b"1e999", b"nan",
-                                       b"x", b"9", b"0.5", b'"', b"{", b"\xff"]))
+                                       b"x", b"9", b"0.5", b'"', b"{", b"\xff",
+                                       b"e300"]))
 
 
 def _mutate(raw: bytes, kind: str, a: float, b: float, token: bytes) -> bytes:

@@ -42,15 +42,24 @@ def arrays(s: data.RawSeries) -> tuple:
 def no_parse():
     """Fail the block if it parses a series: what it reads must be a hit."""
     with mock.patch.object(data, "parse_series_csv", side_effect=AssertionError("parsed")), \
-            mock.patch.object(data, "read_plain_series", side_effect=AssertionError("parsed")):
+            mock.patch.object(data, "read_series", side_effect=AssertionError("parsed")):
         yield
 
 
 @contextlib.contextmanager
-def streamed_only():
-    """Fail the block if a miss falls back to the whole-bytes parse."""
-    with mock.patch.object(cli, "read_input", side_effect=AssertionError("read whole")):
+def no_line_loop():
+    """Fail the block if a parse falls back to the line loop."""
+    with mock.patch.object(data, "_parse_series_lines", side_effect=AssertionError("line loop")):
         yield
+
+
+@contextlib.contextmanager
+def spies():
+    """Count the block's `np.loadtxt` and line-loop calls."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(data, "_parse_series_lines",
+                              wraps=data._parse_series_lines) as line_loop:
+        yield loadtxt, line_loop
 
 
 @pytest.fixture
@@ -85,17 +94,16 @@ def test_streamed_parse_bitwise_equals_whole_and_line_loop(text, block):
     raw = text.encode()
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
         patch.setattr(data, "_PARSE_BLOCK_BYTES", block)
-        streamed = data.read_plain_series(io.BytesIO(raw), "ch")
         whole = parse_outcome(data.parse_series_csv, raw)
         path, out = Path(tmp) / "ch.csv", Path(tmp) / "out"
         path.write_bytes(raw)
-        with streamed_only():
+        with no_line_loop():
+            streamed, digest = data.read_series(io.BytesIO(raw), "ch")
             miss = read(path, out)
         entry = entry_of(path, out).read_bytes()
-    assert streamed is not None
     want = parse_outcome(data._parse_series_lines, text)
     assert arrays(streamed) == arrays(miss) == whole == want
-    assert entry[8:40] == hashlib.sha256(raw).digest()
+    assert entry[8:40] == digest == hashlib.sha256(raw).digest()
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,18 +123,27 @@ def test_cold_read_of_any_text_matches_the_line_loop(text, block):
 
 
 class GrowsOnRewind(io.BytesIO):
-    """A file that gains two rows after its first pass."""
+    """A file that gains two rows on its first rewind, after the pass that
+    counts its line ends."""
+
+    grown = False
 
     def seek(self, pos, whence=0):
-        super().seek(0, io.SEEK_END)
-        self.write(b"5,1\n6,1\n")
+        if not self.grown:
+            self.grown = True
+            super().seek(0, io.SEEK_END)
+            self.write(b"5,1\n6,1\n")
         return super().seek(pos, whence)
 
 
 def test_more_rows_than_counted_is_left_to_the_whole_parse():
     grown = GrowsOnRewind(b"timestamp,value\n0,1\n")
-    assert data.read_plain_series(grown, "ch") is None
-    assert data.read_plain_series(io.BytesIO(grown.getvalue()), "ch").values.tolist() == [1] * 3
+    with spies() as (_, line_loop):
+        series, digest = data.read_series(grown, "ch")
+    assert line_loop.call_count == 1
+    assert series.timestamps.tolist() == [0, 5, 6] and series.values.tolist() == [1] * 3
+    # keyed by the bytes that were parsed, not those the blocks saw
+    assert digest == hashlib.sha256(grown.getvalue()).digest()
 
 
 LATE = [f"{t},90.0" for t in range(200)]
@@ -153,16 +170,25 @@ def test_bad_row_in_a_late_block_names_its_line(tmp_path, capsys, monkeypatch, r
     assert not entry_of(tmp_path / "current.csv", tmp_path / "out").exists()
 
 
-def test_valid_non_plain_late_block_falls_back(box, monkeypatch):
-    # a late row the blocks cannot read but the line loop accepts
+def test_valid_non_plain_late_block_falls_back(box):
+    # a late row the blocks cannot read but the line loop accepts: the
+    # blocks before it run once, then the line loop once, over the whole file
     path, out = box
-    monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 16)
-    text = "\n".join(["timestamp,value", *LATE[:150], "150, 1_5.0", *LATE[151:]]) + "\n"
-    path.write_text(text)
-    assert data.read_plain_series(io.BytesIO(text.encode()), "ch") is None
-    assert arrays(read(path, out)) == parse_outcome(data._parse_series_lines, text)
+    rows = [f"{t},90.0" for t in range(200_000)]
+    rows[150_000] = "150000, 9_0.0"
+    raw = "\n".join(["timestamp,value", *rows]).encode() + b"\n"
+    path.write_bytes(raw)
+    blocks = list(data._line_blocks(io.BytesIO(raw), hashlib.sha256()))[1:]
+    bad = next(i for i, block in enumerate(blocks) if b"_" in block)
+    with spies() as (loadtxt, line_loop):
+        miss = read(path, out)
+    # one loadtxt per block before the bad one (25 of 35 blocks)
+    assert loadtxt.call_count == bad < len(blocks)
+    assert line_loop.call_count == 1
+    assert arrays(miss) == parse_outcome(data._parse_series_lines, raw.decode())
+    assert entry_of(path, out).read_bytes()[8:40] == hashlib.sha256(raw).digest()
     with no_parse():
-        assert read(path, out).values[150] == 15.0
+        assert read(path, out).values[150_000] == 90.0
 
 
 def test_entry_layout(box):
@@ -220,7 +246,7 @@ def test_cold_read_never_holds_the_file_in_memory(tmp_path, rng):
     series = data.RawSeries("current", np.arange(n) + 1.6e9, rng.standard_normal(n))
     with path.open("w") as fh:
         data.format_series_csv(series, fh)
-    with streamed_only():
+    with no_line_loop():
         miss, peak = traced_peak(lambda: read(path, out))
     assert arrays(miss) == arrays(series)
     # the [2, n] table of the entry, plus a few blocks in flight
