@@ -58,11 +58,11 @@ def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
     in `<output_dir>/.series_cache/<stem>`.
 
     A hit hashes the file in chunks and views the read-only mapped entry. A
-    miss reads the file with `data.read_series`, which parses a plain file a
-    block at a time into the entry's table, hashing the blocks for the
-    entry's key, and views the series in it. So neither holds a plain file
-    in memory whole. What the blocks cannot decide, `read_series` reads
-    whole once and parses line by line, which names any error's line.
+    miss reads the file with `data.read_series`, which parses it a block at
+    a time into the entry's table, hashing the blocks for the entry's key,
+    and views the series in it; a block that is not plain goes through the
+    line loop by itself, which names any error's line. So neither holds the
+    file in memory whole.
     """
     name = Path(path).stem
     entry_path = Path(cfg.output_dir) / ".series_cache" / name

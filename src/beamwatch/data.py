@@ -6,14 +6,13 @@ standardized with training-set statistics, and cut into stride-1 sliding
 windows: rows s..s+k-1 form a window exactly when ts[s+k-1] - ts[s] == k-1,
 so none crosses a gap left by removed or missing seconds. Series CSVs are
 the only text format here, written to an open file a block of rows at a
-time and read from one by `read_series`, a block of lines at a time where
-it can; aligned frames live in memory only. `_plain_rows` reads the plain
-CSV rows of the series blocks and of the anomaly parser.
+time and read from one by `read_series` a block of lines at a time;
+aligned frames live in memory only. `_plain_rows` reads the plain CSV rows
+of the series blocks and of the anomaly parser.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import math
@@ -23,8 +22,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OrderError, ParseError, ShapeError
-from .ioutil import as_text
+from .errors import BeamwatchError, ConfigError, DataError, OrderError, ParseError, ShapeError
 
 if TYPE_CHECKING:
     from .faults import FaultEvent
@@ -162,21 +160,10 @@ def _unchecked(cls, *values):
 
 def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeries:
     """Parse a `timestamp,value` CSV, given as text or as UTF-8 bytes, into
-    a RawSeries.
-
-    Numbers use Python `float` syntax, blank lines are skipped and any line
-    ending is accepted. Timestamps must be strictly increasing; any malformed
-    row is rejected with its line number.
-
-    A valid file written only with ASCII digits, signs, points, exponents,
-    commas, blanks and line ends is parsed by `read_series` a block at a
-    time. Any other text, and every invalid file, goes through the line
-    loop, which decides acceptance and names the offending line; both give
-    bitwise equal arrays.
-    """
-    if isinstance(text, str) and not text.isascii():
-        return _parse_series_lines(text, channel_name)
-    raw = text.encode("ascii") if isinstance(text, str) else text
+    a RawSeries with `read_series`. Numbers use Python `float` syntax, blank
+    lines are skipped and any line ending is accepted. Timestamps must be
+    strictly increasing; a malformed row fails with its line number."""
+    raw = text.encode("utf-8") if isinstance(text, str) else text
     return read_series(io.BytesIO(raw), channel_name)[0]
 
 
@@ -189,7 +176,7 @@ _SERIES_DTYPE = np.dtype([("timestamp", "<f8"), ("value", "<f8")])
 _PLAIN_CSV_BYTES = b"0123456789.,+-eE \t\r\n"
 
 # Bytes of a series CSV body that `read_series` reads and parses at a time,
-# so it never holds a whole plain input besides the table it fills.
+# so it never holds a whole input besides the table it fills.
 _PARSE_BLOCK_BYTES = 1 << 16
 
 
@@ -238,84 +225,97 @@ def plain_csv_table(source: str | bytes, header: str, dtype: np.dtype) -> np.nda
     return _plain_rows(source, dtype, head) if _is_header(source, head) else None
 
 
-def _line_blocks(fh: BinaryIO, digest) -> Iterator[bytes]:
-    """The first line of `fh`, then the rest in blocks of `_PARSE_BLOCK_BYTES`,
-    each run on to the end of its last line and fed to `digest` first."""
-    block = fh.readline()
-    while block:
-        digest.update(block)
-        yield block
-        block = fh.read(_PARSE_BLOCK_BYTES)
-        if not block.endswith(b"\n"):
-            block += fh.readline()
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The first line of `fh`, even if empty, then `_PARSE_BLOCK_BYTES` blocks
+    run on to a "\n", so a file whose lines end in "\r" alone is one block."""
+    yield fh.readline()
+    while block := fh.read(_PARSE_BLOCK_BYTES):
+        yield block if block.endswith(b"\n") else block + fh.readline()
+
+
+class _BlockDecodeError(UnicodeDecodeError):
+    """The decode error of a block `at` bytes into a file, worded as the file's."""
+
+    def __str__(self) -> str:
+        start, end = self.start + self.at, self.end - 1 + self.at
+        where = (f"byte 0x{self.object[self.start]:02x} in position {start}"
+                 if start == end else f"bytes in position {start}-{end}")
+        return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
 
 
 def read_series(fh: BinaryIO, channel_name: str) -> tuple[RawSeries, bytes]:
     """The series of the series CSV in the binary file `fh`, at its start,
-    and the sha256 digest of the bytes it was parsed from.
-
-    A plain file is parsed a block at a time: a first pass counts the line
-    ends to size the [2, rows] float64 table of stamps, then values, that a
-    parse-cache entry holds; a second parses each of the hashed
-    `_line_blocks` with one `loadtxt` (`_plain_rows`) into the table, which
-    the series views. What the blocks cannot decide (a header or block that
-    is not plain or does not parse, more rows than counted because the file
-    grew, values RawSeries rejects) is read whole once, from the start, and
-    parsed by the line loop, which names any error's line.
-    """
-    digest = hashlib.sha256()
-    capacity = sum(chunk.count(b"\n")
-                   for chunk in iter(lambda: fh.read(_PARSE_BLOCK_BYTES), b""))
+    and the sha256 digest of the bytes it was parsed from. A first pass
+    counts line ends to size the [2, rows] float64 table (stamps, then
+    values) of a cache entry, which doubles if they fall short. A second
+    parses each hashed `_line_blocks` into it alone: plain, finite rows after
+    the last stamp with `loadtxt`, others with the line loop, which names an
+    error's line. A decode error comes first, as for the whole file."""
+    table = np.empty((2, sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+                             for chunk in iter(lambda: fh.read(_PARSE_BLOCK_BYTES), b""))))
     fh.seek(0)
-    blocks = _line_blocks(fh, digest)
-    if _is_header(next(blocks, b""), SERIES_CSV_HEADER.encode("ascii")):
-        table = np.empty((2, capacity))
-        n = 0
+    digest, n, lineno = hashlib.sha256(), 0, 1
+    blocks = _line_blocks(fh)
+    try:
         for block in blocks:
-            if not block.lstrip(b" \t\r\n"):
-                continue  # blank lines only: no rows, on which loadtxt warns
-            rows = _plain_rows(block, _SERIES_DTYPE)
-            if rows is None or n + len(rows) > capacity:
-                break
-            table[0, n:n + len(rows)] = rows["timestamp"]
-            table[1, n:n + len(rows)] = rows["value"]
-            n += len(rows)
-        else:
-            # RawSeries checks the values; a table that fails goes to the line loop.
-            with contextlib.suppress(DataError, OrderError):
-                return RawSeries(channel_name, table[0, :n], table[1, :n]), digest.digest()
-        del table  # not held through the line loop
-    fh.seek(0)
-    raw = fh.read()
-    return _parse_series_lines(as_text(raw), channel_name), hashlib.sha256(raw).digest()
+            digest.update(block)
+            last = float(table[0, n - 1]) if n else -math.inf
+            rows = None
+            if (_is_header(block, SERIES_CSV_HEADER.encode("ascii")) if lineno == 1
+                    else not block.lstrip(b" \t\r\n")):
+                rows = table[:, :0]  # the header line, or blank lines only
+            elif lineno > 1 and (plain := _plain_rows(block, _SERIES_DTYPE)) is not None:
+                rows = plain.view(np.float64).reshape(-1, 2).T
+                ts = rows[0]
+                if not (np.isfinite(rows).all() and ts[0] > last and np.all(ts[1:] > ts[:-1])):
+                    rows = None
+            if rows is not None:  # plain bytes end lines with "\r", "\n" and "\r\n"
+                lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == 10) + (
+                    block.count(b"\r") - block.count(b"\r\n") if b"\r" in block else 0)
+            else:
+                try:
+                    rows, lineno = _parse_series_lines(block.decode("utf-8"), lineno, last)
+                except BeamwatchError:
+                    for block in blocks:  # a decode error in a later block comes first
+                        block.decode("utf-8")
+                    raise
+            if n + rows.shape[1] > table.shape[1]:  # more rows than line ends counted
+                table = np.hstack((table[:, :n], np.empty((2, max(n, rows.shape[1])))))
+            table[:, n:n + rows.shape[1]] = rows
+            n += rows.shape[1]
+    except UnicodeDecodeError as exc:
+        error = _BlockDecodeError(*exc.args)
+        error.at = fh.tell() - len(block)
+        raise error from None
+    return _unchecked(RawSeries, channel_name, table[0, :n], table[1, :n]), digest.digest()
 
 
-def _parse_series_lines(text: str, channel_name: str) -> RawSeries:
-    """Line-by-line parse of a series CSV; the reference for the bulk path."""
+def _parse_series_lines(text: str, first: int = 1, last: float = -math.inf
+                        ) -> tuple[np.ndarray, int]:
+    """Line-by-line parse of series CSV text from line `first` of its file
+    (the header, if 1), after the stamp `last`: the [2, rows] stamps, then
+    values, and the next line's number. On a whole text, the reference."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != SERIES_CSV_HEADER:
+    if first == 1 and (not lines or lines[0].strip() != SERIES_CSV_HEADER):
         raise ParseError(f"line 1: expected header {SERIES_CSV_HEADER!r}")
-    timestamps: list[float] = []
-    values: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    rows = []
+    for lineno, line in enumerate(lines, start=first):
+        if lineno == 1 or not line.strip():
+            continue  # the header, or a blank line
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'timestamp,value', got {line!r}")
         try:
-            ts = float(parts[0])
-            val = float(parts[1])
+            ts, val = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed number in {line!r}") from None
         if not (math.isfinite(ts) and math.isfinite(val)):
             raise ParseError(f"line {lineno}: non-finite number in {line!r}")
-        if timestamps and ts <= timestamps[-1]:
-            raise OrderError(f"line {lineno}: timestamp {ts} not after {timestamps[-1]}")
-        timestamps.append(ts)
-        values.append(val)
-    return RawSeries(channel_name, np.array(timestamps, dtype=np.float64),
-                     np.array(values, dtype=np.float64))
+        if ts <= last:
+            raise OrderError(f"line {lineno}: timestamp {ts} not after {last}")
+        rows.append((ts, val))
+        last = ts
+    return np.array(rows, dtype=np.float64).reshape(-1, 2).T, first + len(lines)
 
 
 # Rows formatted per write, so the text in memory is bounded by a block.

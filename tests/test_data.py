@@ -61,6 +61,13 @@ class TestParseSeriesCsv:
         assert np.array_equal(again.values, s.values)
 
 
+def line_loop_series(text, channel_name):
+    """The series that the whole-text line loop, the reference parse, makes
+    of `text`."""
+    rows, _ = data._parse_series_lines(text)
+    return data.RawSeries(channel_name, rows[0], rows[1])
+
+
 def parse_outcome(parse, text):
     """What a series parser makes of `text`: the arrays' dtype and bytes, or
     the error's type and message."""
@@ -125,12 +132,13 @@ def mangled_series_texts(draw):
 
 
 class TestParseSeriesBulk:
-    """The one-pass parse against the line loop it falls back to."""
+    """The block parse against the line loop, its reference and the parse of
+    every block it cannot read."""
 
     @settings(max_examples=300, deadline=None)
     @given(series_texts())
     def test_valid_text_bitwise_equal(self, text):
-        want = parse_outcome(data._parse_series_lines, text)
+        want = parse_outcome(line_loop_series, text)
         assert want[0] == np.float64, want
         assert parse_outcome(data.parse_series_csv, text) == want
 
@@ -138,7 +146,7 @@ class TestParseSeriesBulk:
     @given(mangled_series_texts())
     def test_mangled_text_same_outcome(self, text):
         assert parse_outcome(data.parse_series_csv, text) == \
-            parse_outcome(data._parse_series_lines, text)
+            parse_outcome(line_loop_series, text)
 
     @pytest.mark.parametrize("text", [
         "timestamp,value\n0,1_000\n1,2\n",
@@ -161,7 +169,7 @@ class TestParseSeriesBulk:
     ])
     def test_edge_cases_same_outcome(self, text):
         assert parse_outcome(data.parse_series_csv, text) == \
-            parse_outcome(data._parse_series_lines, text)
+            parse_outcome(line_loop_series, text)
 
     def test_random_doubles_bitwise_equal(self, rng):
         bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
@@ -171,7 +179,7 @@ class TestParseSeriesBulk:
         series = data.RawSeries("ch", np.arange(len(values)) * 0.25, values)
         text = csv_text(series)
         assert parse_outcome(data.parse_series_csv, text) == \
-            parse_outcome(data._parse_series_lines, text)
+            parse_outcome(line_loop_series, text)
 
     def test_plain_text_skips_line_loop(self, monkeypatch):
         text = "timestamp,value\r\n0,1.5\r\n\r\n2.5,-3e-300\r\n"
@@ -193,7 +201,7 @@ class TestParseSeriesBulk:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a body with no rows
             got = parse_outcome(data.parse_series_csv, text)
-        assert got == parse_outcome(data._parse_series_lines, text)
+        assert got == parse_outcome(line_loop_series, text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(series_texts(), mangled_series_texts()))

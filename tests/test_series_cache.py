@@ -21,7 +21,7 @@ from beamwatch.config import RunConfig
 from beamwatch.errors import BeamwatchError, OrderError, ParseError
 
 from conftest import traced_peak
-from test_data import mangled_series_texts, parse_outcome, series_texts
+from test_data import line_loop_series, mangled_series_texts, parse_outcome, series_texts
 
 TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.5,-3e-300\n"
 
@@ -48,7 +48,7 @@ def no_parse():
 
 @contextlib.contextmanager
 def no_line_loop():
-    """Fail the block if a parse falls back to the line loop."""
+    """Fail the block if a parse sends any of its blocks to the line loop."""
     with mock.patch.object(data, "_parse_series_lines", side_effect=AssertionError("line loop")):
         yield
 
@@ -101,7 +101,7 @@ def test_streamed_parse_bitwise_equals_whole_and_line_loop(text, block):
             streamed, digest = data.read_series(io.BytesIO(raw), "ch")
             miss = read(path, out)
         entry = entry_of(path, out).read_bytes()
-    want = parse_outcome(data._parse_series_lines, text)
+    want = parse_outcome(line_loop_series, text)
     assert arrays(streamed) == arrays(miss) == whole == want
     assert entry[8:40] == digest == hashlib.sha256(raw).digest()
 
@@ -119,7 +119,11 @@ def test_cold_read_of_any_text_matches_the_line_loop(text, block):
             kind, message = type(exc), str(exc)
             assert message.startswith(f"{path}: ")
             got = kind, message[len(f"{path}: "):]
-    assert got == parse_outcome(data._parse_series_lines, text)
+        else:
+            # keyed by the file's bytes, whichever blocks the line loop read
+            assert entry_of(path, out).read_bytes()[8:40] == \
+                hashlib.sha256(text.encode()).digest()
+    assert got == parse_outcome(line_loop_series, text)
 
 
 class GrowsOnRewind(io.BytesIO):
@@ -136,14 +140,44 @@ class GrowsOnRewind(io.BytesIO):
         return super().seek(pos, whence)
 
 
-def test_more_rows_than_counted_is_left_to_the_whole_parse():
+def test_more_rows_than_counted_grow_the_table():
     grown = GrowsOnRewind(b"timestamp,value\n0,1\n")
-    with spies() as (_, line_loop):
+    with no_line_loop():
         series, digest = data.read_series(grown, "ch")
-    assert line_loop.call_count == 1
     assert series.timestamps.tolist() == [0, 5, 6] and series.values.tolist() == [1] * 3
-    # keyed by the bytes that were parsed, not those the blocks saw
+    # keyed by the bytes that were parsed, not those the first pass counted
     assert digest == hashlib.sha256(grown.getvalue()).digest()
+
+
+class Recorded(io.BytesIO):
+    """A file that records its seeks and the size asked of each read."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.calls = []
+
+    def seek(self, pos, whence=0):
+        self.calls.append(("seek", pos, whence))
+        return super().seek(pos, whence)
+
+    def read(self, size=-1):
+        self.calls.append(("read", size))
+        return super().read(size)
+
+
+@pytest.mark.parametrize("row", ["150,90.0", "150, 9_0.0", "150,9O.0", "149,90.0"],
+                         ids=["plain", "non-plain", "malformed", "order"])
+def test_read_is_two_passes_with_one_rewind(monkeypatch, row):
+    monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 64)
+    rows = [f"{t},90.0" for t in range(300)]
+    rows[150] = row
+    fh = Recorded("\n".join(["timestamp,value", *rows, ""]).encode())
+    with contextlib.suppress(BeamwatchError):
+        data.read_series(fh, "ch")
+    # one rewind, between the counting pass and the parse, and no read
+    # without a size
+    assert [call for call in fh.calls if call[0] == "seek"] == [("seek", 0, 0)]
+    assert all(call[1] == 64 for call in fh.calls if call[0] == "read")
 
 
 LATE = [f"{t},90.0" for t in range(200)]
@@ -158,7 +192,7 @@ LATE = [f"{t},90.0" for t in range(200)]
 def test_bad_row_in_a_late_block_names_its_line(tmp_path, capsys, monkeypatch, row, error):
     monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 64)
     text = "\n".join(["timestamp,value", *LATE[:188], row, *LATE[189:]]) + "\n"
-    kind, message = parse_outcome(data._parse_series_lines, text)
+    kind, message = parse_outcome(line_loop_series, text)
     assert kind is error and message.startswith("line 190: ")
     (tmp_path / "run.cfg").write_text("")
     (tmp_path / "current.csv").write_text(text)
@@ -170,25 +204,57 @@ def test_bad_row_in_a_late_block_names_its_line(tmp_path, capsys, monkeypatch, r
     assert not entry_of(tmp_path / "current.csv", tmp_path / "out").exists()
 
 
-def test_valid_non_plain_late_block_falls_back(box):
-    # a late row the blocks cannot read but the line loop accepts: the
-    # blocks before it run once, then the line loop once, over the whole file
+def test_valid_non_plain_late_block_alone_goes_to_the_line_loop(box):
+    # a late row the blocks cannot read but the line loop accepts: its block
+    # alone goes to the line loop, told its first line and the last stamp
     path, out = box
-    rows = [f"{t},90.0" for t in range(200_000)]
+    n = 200_000
+    rows = [f"{t},90.0" for t in range(n)]
     rows[150_000] = "150000, 9_0.0"
     raw = "\n".join(["timestamp,value", *rows]).encode() + b"\n"
     path.write_bytes(raw)
-    blocks = list(data._line_blocks(io.BytesIO(raw), hashlib.sha256()))[1:]
+    blocks = list(data._line_blocks(io.BytesIO(raw)))[1:]
     bad = next(i for i, block in enumerate(blocks) if b"_" in block)
     with spies() as (loadtxt, line_loop):
         miss = read(path, out)
-    # one loadtxt per block before the bad one (25 of 35 blocks)
-    assert loadtxt.call_count == bad < len(blocks)
+    # one loadtxt on each of the other blocks (34 of 35)
+    assert loadtxt.call_count == len(blocks) - 1
     assert line_loop.call_count == 1
-    assert arrays(miss) == parse_outcome(data._parse_series_lines, raw.decode())
+    first = 2 + sum(block.count(b"\n") for block in blocks[:bad])
+    assert line_loop.call_args.args == (blocks[bad].decode(), first, first - 3.0)
+    assert arrays(miss) == parse_outcome(line_loop_series, raw.decode())
     assert entry_of(path, out).read_bytes()[8:40] == hashlib.sha256(raw).digest()
     with no_parse():
         assert read(path, out).values[150_000] == 90.0
+    # no more than twice the [2, n] table that the entry holds
+    _, peak = traced_peak(lambda: read(path, out.parent / "cold"))
+    table = 16 * (n + 1)
+    assert peak < 2 * table, (peak, table)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 150000: invalid start byte"),
+    (b"\xe2\x82", "'utf-8' codec can't decode bytes in position 150000-150001: "
+                  "invalid continuation byte"),
+], ids=["start byte", "continuation"])
+@pytest.mark.parametrize("early", ["", "1,90.0"], ids=["alone", "after a bad row"])
+def test_decode_error_past_the_first_block_names_its_file_position(box, bad, message, early):
+    path, out = box
+    rows = [f"{t},90.0" for t in range(30_000)]
+    if early:
+        rows[2] = early  # an order error, which a decode of the whole file pre-empts
+    raw = "\n".join(["timestamp,value", *rows, ""]).encode()
+    raw = raw[:150_000] + bad + raw[150_000 + len(bad):]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        raw.decode("utf-8")
+    assert str(whole.value) == message
+    with pytest.raises(UnicodeDecodeError) as direct:
+        data.parse_series_csv(raw)
+    assert str(direct.value) == message
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as info:
+        read(path, out)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_entry_layout(box):
