@@ -13,11 +13,12 @@ Training and inference run the same batched forward from `nn`. Its edges
 are time-major ([k, n, m] windows in, reconstructions out); inside, every
 array is feature-major, one column per window. `train_epochs` and
 `reconstruction_errors` take a `data.WindowSet` or a plain [n, k, m] array
-and gather one minibatch or one chunk of windows at a time. Training
-applies the dropout masks and keeps the per-step caches for BPTT;
-inference (`forward`, `reconstruction_errors`) is eval mode only, with
-dropout off and no caches, and works in zero-padded chunks of
-`INFERENCE_CHUNK` windows, so every matrix product has one shape and a
+and gather one minibatch or one chunk of windows at a time, a set's from
+its start rows. Training applies the dropout masks and keeps the per-step
+caches for BPTT; inference (`forward`, `reconstruction_errors`) is eval
+mode only, with dropout off and no caches, and copies each chunk of
+`INFERENCE_CHUNK` windows into a fresh zeroed C-ordered array (so the last
+chunk is zero-padded), so every matrix product has one shape and a
 window's result is bitwise the same whatever batch, chunk or column it is
 in.
 """
@@ -238,30 +239,29 @@ def _forward_batch_cached(model: ModelArtifact, batch_tm: np.ndarray,
 def _window_source(config: AutoencoderConfig, windows: WindowSet | np.ndarray):
     """The number of windows in a WindowSet or a [n, k, m] array, and a
     function that gathers the windows at `idx` (an index array or a slice)
-    as a [len, k, m] array: for a set with start rows, the rows
-    `frame_windows[starts[idx]]`, so no copy of every window is made."""
-    starts = None
+    as a [len, k, m] array: for a set, the rows `frame_windows[starts[idx]]`,
+    so no copy of every window is made; for an array, `windows[idx]`."""
     if isinstance(windows, WindowSet):
-        windows, starts = windows.frame_windows, windows.starts
+        rows, starts = _check_batch(config, windows.frame_windows), windows.starts
+        return len(starts), lambda idx: rows[starts[idx]]
     rows = _check_batch(config, windows)
-    if starts is None:
-        return len(rows), rows.__getitem__
-    return len(starts), lambda idx: rows[starts[idx]]
+    return len(rows), rows.__getitem__
 
 
 def _chunked_forward(model: ModelArtifact, n: int, take):
-    """Yield (lo, padded time-major input chunk, its reconstruction) for the
-    zero-padded chunks of INFERENCE_CHUNK of the n windows that `take`
-    gathers (see `_window_source`), one chunk at a time.
+    """Yield (lo, time-major input chunk, its reconstruction) for the chunks
+    of INFERENCE_CHUNK of the n windows that `take` gathers (see
+    `_window_source`), one chunk at a time.
 
-    `take` must give what slicing the [n, k, m] windows array gives,
-    strides included: `np.pad` keeps a Fortran-ordered part (as a
-    one-channel batch's is) Fortran-ordered, and the order in which a
-    window's error is summed follows the chunk's layout.
+    Each chunk is a fresh zeroed, C-ordered [k, INFERENCE_CHUNK, m] array
+    with the chunk's windows in its first columns, so the last chunk is
+    zero-padded and every chunk has one layout, whatever `take` returns.
     """
+    k, m = model.config.window_k, model.config.feature_m
     for lo in range(0, n, INFERENCE_CHUNK):
-        part = np.swapaxes(take(slice(lo, lo + INFERENCE_CHUNK)), 0, 1)
-        chunk_tm = np.pad(part, [(0, 0), (0, INFERENCE_CHUNK - part.shape[1]), (0, 0)])
+        part = take(slice(lo, lo + INFERENCE_CHUNK))
+        chunk_tm = np.zeros((k, INFERENCE_CHUNK, m))
+        chunk_tm[:, :len(part)] = np.swapaxes(part, 0, 1)
         recon_tm, _ = _forward_batch_cached(model, chunk_tm, None, None, keep_cache=False)
         yield lo, chunk_tm, recon_tm
 

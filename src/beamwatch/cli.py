@@ -213,12 +213,18 @@ def cmd_detect(cfg: RunConfig) -> None:
             f"config names {len(frame.channels)} series files"
         )
     test_frame = _test_split(frame, cfg.train_fraction)
-    standardized = data.standardize(test_frame, model.channel_stats)
+    test_span = [int(test_frame.timestamps[0]), int(test_frame.timestamps[-1])]
+    if model.provenance is not None:  # the model must not score seconds it trained on
+        first, last = model.provenance.train_span
+        if test_span[0] <= last and first <= test_span[1]:
+            raise DataError(f"{cfg.model_file}: test span {test_span} overlaps the "
+                            f"model's train span [{first}, {last}]")
     k = model.config.window_k
     with _derived_from(*cfg.series_files):
+        standardized = data.standardize(test_frame, model.channel_stats)
         ws = data.make_windows(standardized, k)
 
-    errors = ae.reconstruction_errors(model, ws.windows)
+    errors = ae.reconstruction_errors(model, ws)
     flagged = detect.flag_anomalies(errors, ws.end_timestamps, model.threshold)
     # merge (which checks merge_max_gap) before writing, so that a failing
     # run leaves the earlier outputs as they were
@@ -236,7 +242,7 @@ def cmd_detect(cfg: RunConfig) -> None:
     # what detect scored: its test span, whose first k-1 seconds end no
     # window and so can never be flagged
     record = {
-        "test_span": [int(test_frame.timestamps[0]), int(test_frame.timestamps[-1])],
+        "test_span": test_span,
         "train_fraction": cfg.train_fraction,
         "window_k": k,
         "blind_leading_seconds": k - 1,

@@ -111,42 +111,40 @@ class WindowSet:
     """Sliding windows with each window's last-row epoch second.
 
     `frame_windows` [r, k, m] holds every k rows of a frame, and `starts`
-    the rows of it that are this set's windows, in order; None means all
-    of them. `make_windows` gives a read-only strided view of the frame's
-    values there, so the set copies no window. Training and inference
-    gather the windows they need from the two, a minibatch or a chunk at a
-    time; `windows` builds the set's [n, k, m] array.
+    the rows of it that are this set's windows, in order. `make_windows`
+    gives a read-only strided view of the frame's values there, so the set
+    copies no window. Training and inference gather the windows they need
+    from the two, a minibatch or a chunk at a time; `windows` builds the
+    set's [n, k, m] array, a fresh copy on each read.
     """
 
     frame_windows: np.ndarray
     end_timestamps: np.ndarray
-    starts: np.ndarray | None = None
+    starts: np.ndarray
 
     def __post_init__(self):
         if self.frame_windows.ndim != 3:
             raise ShapeError(f"frame windows must be [r, k, m], got {self.frame_windows.shape}")
         starts = self.starts
-        if starts is not None:
-            if starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer):
-                raise ShapeError(f"window starts must be a 1-D integer array, "
-                                 f"got {starts.dtype} of shape {starts.shape}")
-            if not (np.all(starts[1:] > starts[:-1]) and
-                    np.all((starts >= 0) & (starts < len(self.frame_windows)))):
-                raise OrderError("window starts must be strictly increasing rows "
-                                 "of frame_windows")
+        if starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer):
+            raise ShapeError(f"window starts must be a 1-D integer array, "
+                             f"got {starts.dtype} of shape {starts.shape}")
+        if not (np.all(starts[1:] > starts[:-1]) and
+                np.all((starts >= 0) & (starts < len(self.frame_windows)))):
+            raise OrderError("window starts must be strictly increasing rows "
+                             "of frame_windows")
         if self.end_timestamps.shape != (len(self),):
             raise ShapeError("one end timestamp per window required")
         if not np.all(self.end_timestamps[1:] > self.end_timestamps[:-1]):
             raise OrderError("window end timestamps not strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.frame_windows if self.starts is None else self.starts)
+        return len(self.starts)
 
     @property
     def windows(self) -> np.ndarray:
-        """The [n, k, m] windows: `frame_windows` itself when every row
-        starts one, otherwise a fresh copy, built on each read."""
-        return self.frame_windows if self.starts is None else self.frame_windows[self.starts]
+        """The [n, k, m] windows, a fresh copy built on each read."""
+        return self.frame_windows[self.starts]
 
 
 def _unchecked(cls, *values):
@@ -208,21 +206,6 @@ def _plain_rows(source: bytes, dtype: np.dtype, head: bytes = b"") -> np.ndarray
                               comments=None, skiprows=1 if head else 0, ndmin=1)
     except (ValueError, Warning):
         return None
-
-
-def plain_csv_table(source: str | bytes, header: str, dtype: np.dtype) -> np.ndarray | None:
-    """The rows of a plain CSV as one structured array of `dtype`, one
-    field per column, or None when the caller's line loop must decide.
-
-    A plain CSV starts with the line `header` and holds nothing but
-    `_PLAIN_CSV_BYTES` after it; its rows are read as `_plain_rows` says.
-    """
-    if isinstance(source, str):
-        if not source.isascii():
-            return None
-        source = source.encode("ascii")
-    head = header.encode("ascii")
-    return _plain_rows(source, dtype, head) if _is_header(source, head) else None
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -425,9 +408,10 @@ def compute_channel_stats(frame: AlignedFrame) -> ChannelStats:
     """
     if frame.n_rows == 0:
         raise DataError("cannot compute stats on an empty frame")
-    mean = frame.values.mean(axis=0)
-    std = frame.values.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
+    with np.errstate(over="ignore", invalid="ignore"):  # ChannelStats rejects inf and nan
+        mean = frame.values.mean(axis=0)
+        std = frame.values.std(axis=0)
+        std = np.where(std < 1e-12, 1.0, std)
     return ChannelStats(frame.channels, mean, std)
 
 
@@ -437,8 +421,9 @@ def standardize(frame: AlignedFrame, stats: ChannelStats) -> AlignedFrame:
         raise ConfigError(
             f"stats channels {stats.channels} do not match frame channels {frame.channels}"
         )
-    return AlignedFrame(frame.channels, frame.timestamps,
-                        (frame.values - stats.mean) / stats.std)
+    with np.errstate(over="ignore", invalid="ignore"):  # AlignedFrame rejects inf
+        values = (frame.values - stats.mean) / stats.std
+    return AlignedFrame(frame.channels, frame.timestamps, values)
 
 
 def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
@@ -447,10 +432,6 @@ def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
 
     The set keeps a read-only strided view of the frame's values and the
     start rows, not the windows: its memory is per row, not per window row.
-    When every row starts a window (a frame with no gap, such as a test
-    split), `ws.windows` is that view, k times smaller than a copy;
-    otherwise, as for a training frame after fault removal, each read of
-    it gathers a fresh copy.
     """
     if k < 1:
         raise ConfigError(f"window size must be >= 1, got {k}")
@@ -460,5 +441,4 @@ def make_windows(frame: AlignedFrame, k: int) -> WindowSet:
     if len(starts) == 0:
         raise DataError(f"no contiguous segment of length >= {k}")
     rows = np.lib.stride_tricks.sliding_window_view(frame.values, (k, frame.values.shape[1]))
-    return _unchecked(WindowSet, rows[:, 0], ts[starts + k - 1],
-                      None if len(starts) == n else starts)
+    return _unchecked(WindowSet, rows[:, 0], ts[starts + k - 1], starts)

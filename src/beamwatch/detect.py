@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import plain_csv_table
+from .data import _is_header, _plain_rows
 from .errors import ConfigError, DataError, OrderError, ParseError, ShapeError
 from .faults import FaultEvent
 from .ioutil import as_text
@@ -278,7 +278,9 @@ def parse_anomaly_csv(text: str | bytes) -> np.ndarray:
     text, and every invalid file, goes through the line loop, which decides
     acceptance and names the offending line; both give bitwise equal tables.
     """
-    table = plain_csv_table(text, ANOMALY_CSV_HEADER, ANOMALY_DTYPE)
+    raw = text.encode("utf-8") if isinstance(text, str) else text
+    head = ANOMALY_CSV_HEADER.encode("ascii")
+    table = _plain_rows(raw, ANOMALY_DTYPE, head) if _is_header(raw, head) else None
     if table is not None and np.all(np.isfinite(table["error"])):
         return table
     return _parse_anomaly_lines(as_text(text))

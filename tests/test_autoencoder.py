@@ -328,7 +328,7 @@ class TestWindowSetSource:
         counts = np.diff(np.concatenate([[0], cuts, [n]])).tolist()
         ws = gapped_window_set(counts, [gap] * len(counts), k, m, rng)
         # a gap leaves rows that start no window, unless every row is one
-        assert (ws.starts is None) == (len(counts) == 1 or k == 1)
+        assert (len(ws) == len(ws.frame_windows)) == (len(counts) == 1 or k == 1)
         model = random_model(rng, k, m, hd, dropout_rate=rate)
         tcfg = ae.TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=seed % 97)
         trained, history = ae.train_epochs(model, ws, tcfg)
@@ -495,6 +495,29 @@ class TestSerialization:
         path.write_text(text[:len(text) // 2])
         with pytest.raises(ParseError):
             ae.load_model(path)
+
+    @pytest.mark.parametrize("section, other, message", [
+        ("encoder_lstm", {"feature_m": 3}, "encoder dimensions do not match config"),
+        ("decoder_lstm", {"hidden_dim": 3}, "decoder dimensions do not match config"),
+        ("output_dense", {"feature_m": 3}, "dense dimensions do not match config"),
+        ("channel_stats", {"feature_m": 3}, "channel_stats do not match feature count"),
+    ])
+    def test_section_of_another_size_rejected(self, section, other, message):
+        # each section is well formed on its own, but from a model of another size
+        config = dataclasses.replace(TINY, **other)
+        m = config.feature_m
+        donor = dataclasses.replace(ae.init_model(config), channel_stats=ChannelStats(
+            tuple("abc"[:m]), np.zeros(m), np.ones(m)))
+        doc = json.loads(ae.model_to_json(self._calibrated_model()))
+        doc[section] = json.loads(ae.model_to_json(donor))[section]
+        with pytest.raises(ParseError, match=f"^malformed model document: {message}$"):
+            ae.model_from_json(json.dumps(doc))
+
+    def test_document_without_schema_version(self):
+        doc = json.loads(ae.model_to_json(ae.init_model(TINY)))
+        del doc["schema_version"]
+        with pytest.raises(ParseError, match="^model document missing schema_version$"):
+            ae.model_from_json(json.dumps(doc))
 
     def test_wrong_shape_weights(self, tmp_path):
         model = ae.init_model(TINY)

@@ -92,6 +92,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^--set: {reason}$"):
             cfgmod.load_run_config(path, {key: value})
 
+    @pytest.mark.parametrize("key", ["series_files", "fault_files"])
+    def test_empty_file_list_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must name at least one file$"):
+            cfgmod.parse_run_config(f"{key} =\n")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             cfgmod.parse_run_config("no_such_key = 1\n")
@@ -308,6 +313,51 @@ class TestDerivedDataErrorsNameInputs:
                        "anomaly [50, 50] outside frame span\n")
         assert not (tmp_path / "out" / "eval_report.json").exists()
 
+    def test_detect_overflowing_value(self, pipeline_dir, tmp_path, capsys):
+        root = tmp_path / "run"
+        shutil.copytree(pipeline_dir, root)
+        # row 799, in the test split: standardized with xpos' training std,
+        # below 1, it is inf
+        assert ae.load_model(root / "model.json").channel_stats.std[1] < 1
+        path = root / "xpos.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[800] = lines[800].split(",")[0] + ",1e308\n"
+        path.write_text("".join(lines))
+        before = _file_digests(root)
+        err = self.run_fails(capsys, root, "detect")
+        assert err == f"error: {self.series_paths(root)}: frame contains non-finite values\n"
+        assert _file_digests(root) == before
+
+    def test_train_overflowing_value(self, pipeline_dir, tmp_path, capsys):
+        root = tmp_path / "run"
+        shutil.copytree(pipeline_dir, root)
+        # every tenth train row, so fault removal cannot drop them all; their
+        # squared deviation from the mean overflows
+        path = root / "wiresum.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        for j in range(10, 450, 10):
+            lines[j] = lines[j].split(",")[0] + ",1e200\n"
+        path.write_text("".join(lines))
+        before = _file_digests(root)
+        err = self.run_fails(capsys, root, "train")
+        assert err == f"error: {self.series_paths(root)}: channel mean and std must be finite\n"
+        assert _file_digests(root) == before
+
+    def test_detect_refuses_trained_seconds(self, pipeline_dir, tmp_path, capsys):
+        # series cut after train: detect's own split of what is left
+        # starts inside the span the model was trained on
+        root = tmp_path / "run"
+        shutil.copytree(pipeline_dir, root)
+        assert ae.load_model(root / "model.json").provenance.train_span == (0, 449)
+        for name in ("wiresum.csv", "xpos.csv", "ypos.csv"):
+            lines = (root / name).read_text().splitlines(keepends=True)
+            (root / name).write_text("".join(lines[:601]))
+        before = _file_digests(root)
+        err = self.run_fails(capsys, root, "detect")
+        assert err == (f"error: {root / 'model.json'}: test span [300, 599] overlaps the "
+                       "model's train span [0, 449]\n")
+        assert _file_digests(root) == before
+
     @pytest.mark.parametrize("command", ["train", "detect"])
     def test_disjoint_series_supports(self, pipeline_dir, tmp_path, capsys, command):
         root = tmp_path / "run"
@@ -439,7 +489,8 @@ class TestEvalScenario:
         ("window_k=thirty", "--set: config key 'window_k': cannot parse 'thirty'"),
         ("scoring_mode=magic", "--set: scoring_mode must be one of"),
         ("threshold_multiplier=inf", "--set: config key 'threshold_multiplier': 'inf' is not"),
-    ], ids=["unknown", "value", "invalid", "non-finite"])
+        ("window_k", "--set expects key=value, got 'window_k'"),
+    ], ids=["unknown", "value", "invalid", "non-finite", "no-equals"])
     def test_set_errors_say_set(self, tmp_path, capsys, pair, message):
         (tmp_path / "run.cfg").write_text("epochs = 1\n")
         assert main(["train", "--config", str(tmp_path / "run.cfg"), "--set", pair]) == 1

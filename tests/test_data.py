@@ -626,15 +626,17 @@ class TestMakeWindows:
         assert np.array_equal(frame.values, before)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_gap_free_windows_are_a_read_only_view(self, rng, k):
+    def test_gap_free_windows_start_at_every_row(self, rng, k):
         frame = frame_of(np.arange(100, 108), rng.standard_normal((8, 2)))
         ws = data.make_windows(frame, k=k)
+        # the set views the frame's rows; its windows are a fresh copy
+        assert ws.starts.tolist() == list(range(8 - k + 1))
+        assert np.shares_memory(ws.frame_windows, frame.values)
+        assert not ws.frame_windows.flags.writeable
         copies = np.stack([frame.values[j:j + k] for j in range(8 - k + 1)])
-        assert ws.windows.dtype == np.float64 and ws.windows.shape == copies.shape
         assert np.array_equal(ws.windows, copies)
-        assert np.shares_memory(ws.windows, frame.values) and not ws.windows.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            ws.windows[0, 0, 0] = 0.0
+        assert ws.windows.flags.c_contiguous and ws.windows.flags.writeable
+        assert not np.shares_memory(ws.windows, frame.values)
         assert ws.end_timestamps.tolist() == list(range(100 + k - 1, 108))
 
     @pytest.mark.parametrize("n_rows,k", [(0, 1), (0, 30), (3, 4), (29, 30), (1, 10**6)])
@@ -712,9 +714,9 @@ class TestFrameValidation:
 
 class TestWindowSetValidation:
     def test_int64_extremes_accepted(self):
-        data.WindowSet(np.zeros((2, 1, 1)), INT64_EXTREMES)
+        data.WindowSet(np.zeros((2, 1, 1)), INT64_EXTREMES, np.array([0, 1]))
         with pytest.raises(OrderError, match="^window end timestamps not strictly increasing$"):
-            data.WindowSet(np.zeros((2, 1, 1)), INT64_EXTREMES[::-1])
+            data.WindowSet(np.zeros((2, 1, 1)), INT64_EXTREMES[::-1], np.array([0, 1]))
 
     def test_start_rows_pick_the_windows(self):
         rows = np.arange(5.0).reshape(5, 1, 1)

@@ -75,6 +75,14 @@ class TestParseFaultEvents:
         events = faults.parse_fault_events("start,end\n1.0,2e0\n")
         assert events == [FaultEvent(1, 2, "recorded")]
 
+    def test_blank_lines_skipped(self):
+        events = faults.parse_fault_events("start\n100\n\n \t\n200\n")
+        assert events == [FaultEvent(100, 100), FaultEvent(200, 200)]
+
+    def test_fractional_stamp_rejected(self):
+        with pytest.raises(ParseError, match="^line 2: malformed timestamp in '1.5'$"):
+            faults.parse_fault_events("start\n1.5\n")
+
     # stamps across the int64 range, far beyond 2**53, where float() would round
     @settings(deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 100), st.integers(0, 99),
