@@ -23,56 +23,47 @@ from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
 from .errors import BeamwatchError, ConfigError, DataError
-from .ioutil import (atomic_write_bytes, atomic_write_text, atomic_writer, file_sha256,
-                     map_optional_bytes, read_input, remove_file, stream_input)
+from .ioutil import (atomic_write_text, atomic_writer, map_entry_of, read_input, remove_file,
+                     stream_input)
 
 
-# A parse-cache entry: this tag, the sha256 of the input bytes, the row
-# count n (uint64), then the parsed [2, n] table (stamps, then values) as
-# little-endian float64.
-_CACHE_TAG = b"bwseries"
-_CACHE_HEADER = len(_CACHE_TAG) + 32 + 8
-
-
-def _cached_table(entry, digest: bytes) -> np.ndarray | None:
-    """The [2, n] table, viewed in place, of a cache entry (any bytes-like
-    object, or None) made from the input bytes with this `digest`, or None
-    when the entry is missing, foreign or cut short."""
-    key = _CACHE_TAG + digest
-    if entry is None or len(entry) < _CACHE_HEADER or entry[:len(key)] != key:
-        return None
-    n = int.from_bytes(entry[_CACHE_HEADER - 8:_CACHE_HEADER], "little")
-    if len(entry) != _CACHE_HEADER + 16 * n:
-        return None
-    return np.frombuffer(entry, dtype="<f8", offset=_CACHE_HEADER).reshape(2, n)
-
-
-def _write_entry(entry_path: Path, digest: bytes, series: data.RawSeries) -> None:
-    atomic_write_bytes(entry_path, _CACHE_TAG, digest, len(series).to_bytes(8, "little"),
-                       np.ascontiguousarray(series.timestamps, dtype="<f8"),
-                       np.ascontiguousarray(series.values, dtype="<f8"))
+# A parse-cache entry (see `ioutil.map_entry_of`): this tag, the input's
+# length L and the row count n (uint64 LE each), a copy of the L input
+# bytes, zero padding to a multiple of 8, then the parsed [2, n] table
+# (stamps, then values) as little-endian float64.
+_CACHE_TAG = b"bwcsvcpy"
 
 
 def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
     """Read one series file, named after its stem, through the parse cache
     in `<output_dir>/.series_cache/<stem>`.
 
-    A hit hashes the file in chunks and views the read-only mapped entry. A
-    miss reads the file with `data.read_series`, which parses it a block at
-    a time into the entry's table, hashing the blocks for the entry's key,
-    and views the series in it; a block that is not plain goes through the
-    line loop by itself, which names any error's line. So neither holds the
-    file in memory whole.
+    A hit compares the file with the copy in the entry, a chunk at a time,
+    and views the table in the read-only mapped entry. A miss reads the file
+    with `data.read_series`, which parses it a block at a time into the
+    table, and streams those very blocks into the entry's temp file, which
+    is discarded if the parse fails; a block that is not plain goes through
+    the line loop by itself, which names any error's line. So neither holds
+    the file in memory whole.
     """
     name = Path(path).stem
     entry_path = Path(cfg.output_dir) / ".series_cache" / name
-    table = _cached_table(map_optional_bytes(entry_path), file_sha256(path))
-    if table is not None:
+    cached = map_entry_of(entry_path, path, _CACHE_TAG)
+    if cached is not None and len(cached[1]) == 16 * cached[0]:
+        table = np.frombuffer(cached[1], dtype="<f8").reshape(2, cached[0])
         # RawSeries checks the table again; an entry that fails is a miss.
         with contextlib.suppress(BeamwatchError):
             return data.RawSeries(name, table[0], table[1])
-    series, digest = stream_input(path, data.read_series, name)
-    _write_entry(entry_path, digest, series)
+    head = len(_CACHE_TAG) + 16
+    with atomic_writer(entry_path, binary=True) as entry:
+        entry.write(bytes(head))  # the header goes in once the parse is done
+        series = stream_input(path, data.read_series, name, entry.write)
+        size = entry.tell() - head
+        entry.write(bytes(-size % 8))
+        entry.write(np.ascontiguousarray(series.timestamps, dtype="<f8"))
+        entry.write(np.ascontiguousarray(series.values, dtype="<f8"))
+        entry.seek(0)
+        entry.write(_CACHE_TAG + size.to_bytes(8, "little") + len(series).to_bytes(8, "little"))
     return series
 
 

@@ -6,19 +6,18 @@ standardized with training-set statistics, and cut into stride-1 sliding
 windows: rows s..s+k-1 form a window exactly when ts[s+k-1] - ts[s] == k-1,
 so none crosses a gap left by removed or missing seconds. Series CSVs are
 the only text format here, written to an open file a block of rows at a
-time and read from one by `read_series` a block of lines at a time;
+time and read from one by `read_series` a block of lines at a time, each
+block also handed to a writer (the parse cache keeps the bytes it parsed);
 aligned frames live in memory only. `_plain_rows` reads the plain CSV rows
-of the series blocks and of the anomaly parser.
-"""
+of the series blocks and of the anomaly parser."""
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -162,7 +161,7 @@ def parse_series_csv(text: str | bytes, channel_name: str = "series") -> RawSeri
     lines are skipped and any line ending is accepted. Timestamps must be
     strictly increasing; a malformed row fails with its line number."""
     raw = text.encode("utf-8") if isinstance(text, str) else text
-    return read_series(io.BytesIO(raw), channel_name)[0]
+    return read_series(io.BytesIO(raw), channel_name)
 
 
 _SERIES_DTYPE = np.dtype([("timestamp", "<f8"), ("value", "<f8")])
@@ -226,22 +225,23 @@ class _BlockDecodeError(UnicodeDecodeError):
         return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
 
 
-def read_series(fh: BinaryIO, channel_name: str) -> tuple[RawSeries, bytes]:
-    """The series of the series CSV in the binary file `fh`, at its start,
-    and the sha256 digest of the bytes it was parsed from. A first pass
-    counts line ends to size the [2, rows] float64 table (stamps, then
-    values) of a cache entry, which doubles if they fall short. A second
-    parses each hashed `_line_blocks` into it alone: plain, finite rows after
-    the last stamp with `loadtxt`, others with the line loop, which names an
-    error's line. A decode error comes first, as for the whole file."""
+def read_series(fh: BinaryIO, channel_name: str,
+                copy: Callable[[bytes], object] = lambda block: None) -> RawSeries:
+    """The series of the series CSV in the binary file `fh`, at its start.
+    A first pass counts line ends to size the [2, rows] float64 table
+    (stamps, then values) of a cache entry, which doubles if they fall
+    short. A second parses each `_line_blocks` into it alone, after handing
+    it to `copy`: plain, finite rows after the last stamp with
+    `loadtxt`, others with the line loop, which names an error's line. A
+    decode error comes first, as for the whole file."""
     table = np.empty((2, sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
                              for chunk in iter(lambda: fh.read(_PARSE_BLOCK_BYTES), b""))))
     fh.seek(0)
-    digest, n, lineno = hashlib.sha256(), 0, 1
+    n, lineno = 0, 1
     blocks = _line_blocks(fh)
     try:
         for block in blocks:
-            digest.update(block)
+            copy(block)
             last = float(table[0, n - 1]) if n else -math.inf
             rows = None
             if (_is_header(block, SERIES_CSV_HEADER.encode("ascii")) if lineno == 1
@@ -252,9 +252,12 @@ def read_series(fh: BinaryIO, channel_name: str) -> tuple[RawSeries, bytes]:
                 ts = rows[0]
                 if not (np.isfinite(rows).all() and ts[0] > last and np.all(ts[1:] > ts[:-1])):
                     rows = None
-            if rows is not None:  # plain bytes end lines with "\r", "\n" and "\r\n"
-                lineno += np.count_nonzero(np.frombuffer(block, np.uint8) == 10) + (
-                    block.count(b"\r") - block.count(b"\r\n") if b"\r" in block else 0)
+            if rows is not None:  # plain bytes end lines with "\n", "\r\n" and a lone "\r"
+                codes = np.frombuffer(block, np.uint8)
+                lf = codes == 10
+                lineno += np.count_nonzero(lf)
+                if b"\r" in block:  # a "\r" that ends a block ends the file
+                    lineno += np.count_nonzero((codes[:-1] == 13) > lf[1:])
             else:
                 try:
                     rows, lineno = _parse_series_lines(block.decode("utf-8"), lineno, last)
@@ -270,7 +273,7 @@ def read_series(fh: BinaryIO, channel_name: str) -> tuple[RawSeries, bytes]:
         error = _BlockDecodeError(*exc.args)
         error.at = fh.tell() - len(block)
         raise error from None
-    return _unchecked(RawSeries, channel_name, table[0, :n], table[1, :n]), digest.digest()
+    return _unchecked(RawSeries, channel_name, table[0, :n], table[1, :n])
 
 
 def _parse_series_lines(text: str, first: int = 1, last: float = -math.inf

@@ -2,14 +2,14 @@
 as it is parsed through `stream_input`, so an error in it names the file,
 and every output is written atomically, so a failing run never leaves a
 partial file behind (`remove_file` deletes an output that a run makes
-stale). The parse cache also hashes inputs in fixed chunks (`file_sha256`)
-and maps its own entries read-only (`map_optional_bytes`), so a cache hit
-never holds a whole file in memory."""
+stale). A parse-cache hit compares an input with the copy in its entry a
+chunk at a time and maps the entry read-only (`map_entry_of`), so it never
+holds a whole file in memory."""
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import itertools
 import mmap
 import os
 import tempfile
@@ -62,37 +62,46 @@ def as_text(source: str | bytes) -> str:
     return source if isinstance(source, str) else source.decode("utf-8")
 
 
-# `file_sha256` reads a file through one buffer of this many bytes.
-_DIGEST_CHUNK = 1 << 18
+# A cache hit compares an input with its entry's copy through two buffers
+# of this many bytes.
+_COMPARE_CHUNK = 1 << 16
 
 
-def file_sha256(path: str | Path) -> bytes:
-    """The sha256 digest of the bytes of `path`, read in fixed chunks into
-    one reused buffer (`hashlib.file_digest` needs Python 3.11)."""
-    digest = hashlib.sha256()
-    buf = bytearray(_DIGEST_CHUNK)
-    view = memoryview(buf)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            digest.update(view[:n])
-    return digest.digest()
+def map_entry_of(entry_path: str | Path, path: str | Path, tag: bytes
+                 ) -> tuple[int, memoryview] | None:
+    """The count n and the read-only mapped payload of the cache entry
+    `entry_path`, or None unless it holds a copy of the bytes of `path`.
 
-
-def map_optional_bytes(path: str | Path) -> mmap.mmap | None:
-    """A read-only map of the bytes of `path`, or None when it does not
-    exist or is empty (an empty file cannot be mapped).
-
-    The map closes when the last object viewing it is freed. Map only files
-    that are replaced by rename, never rewritten in place: reading a page
-    that a truncation removed kills the process (SIGBUS).
+    An entry is `tag`, the length L of the copy and n (uint64 LE each), the
+    L bytes, zero padding to a multiple of 8, then the payload. The copy is
+    read through the entry's file, never its map, and compared with `path`
+    a chunk at a time as both are read; a missing entry, a short read, a
+    length that differs, a byte that differs and padding that is not zero
+    each give None. Map only files that are replaced by rename, never
+    rewritten in place: reading a page that a truncation removed kills the
+    process (SIGBUS). The map closes when the last object viewing it is freed.
     """
     try:
-        with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size == 0:
-                return None
-            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        entry = open(entry_path, "rb", buffering=0)
     except FileNotFoundError:
         return None
+    with entry, open(path, "rb", buffering=0) as src:
+        head = entry.read(len(tag) + 16)
+        if len(head) != len(tag) + 16 or head[:len(tag)] != tag:
+            return None
+        size, n = (int.from_bytes(head[at:at + 8], "little") for at in (len(tag), len(tag) + 8))
+        left, buf, copy = size, bytearray(_COMPARE_CHUNK), memoryview(bytearray(_COMPARE_CHUNK))
+        while k := src.readinto(buf):
+            del buf[k:]  # a short read shrinks the buffer, so == is one memcmp
+            if entry.readinto(copy[:k]) != k or buf != copy[:k]:
+                return None
+            left -= k
+        if left or entry.read(-size % 8) != bytes(-size % 8):  # left < 0: a longer input
+            return None
+        # map from the page of the byte before the payload: the copy stays out of RSS
+        at = (entry.tell() - 1) // mmap.ALLOCATIONGRANULARITY * mmap.ALLOCATIONGRANULARITY
+        mapped = mmap.mmap(entry.fileno(), 0, access=mmap.ACCESS_READ, offset=at)
+        return n, memoryview(mapped)[entry.tell() - at:]
 
 
 @contextlib.contextmanager
@@ -101,11 +110,13 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
     `path` when the block exits.
 
     The file is a temp file in the same directory. On a clean exit its data
-    is fsynced and it is renamed over `path`; on an exception it is removed
-    and `path` is left as it was. It gets the mode that `open()` would give
-    a new file (0o666 less the umask), not mkstemp's 0o600.
+    is fsynced and it is renamed over `path`; on an exception it is removed,
+    with any directory made for it, and `path` is left as it was. It gets
+    the mode that `open()` would give a new file (0o666 less the umask), not
+    mkstemp's 0o600.
     """
     path = Path(path)
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -118,6 +129,9 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for directory in made:  # innermost first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
 
 
@@ -125,14 +139,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write `text` to `path` through `atomic_writer`."""
     with atomic_writer(path) as fh:
         fh.write(text)
-
-
-def atomic_write_bytes(path: str | Path, *chunks) -> None:
-    """Write the bytes-like `chunks`, in order, to `path` through
-    `atomic_writer`."""
-    with atomic_writer(path, binary=True) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
 
 
 def remove_file(path: str | Path) -> None:

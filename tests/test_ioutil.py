@@ -1,9 +1,9 @@
 """Tests for the input reader, which hands parsers bytes, the parse cache's
-chunked digest and read-only map, and the atomic writers: content, encoding,
-replacement, file mode and clean-up after a failure inside the `with`
-block."""
+byte comparison and read-only map, and the atomic writers: content,
+encoding, replacement, file mode and clean-up after a failure inside the
+`with` block."""
 
-import hashlib
+import mmap
 import os
 import stat
 
@@ -13,8 +13,8 @@ import numpy as np
 
 from beamwatch import ioutil
 from beamwatch.errors import DataError, ParseError
-from beamwatch.ioutil import (as_text, atomic_write_bytes, atomic_write_text, atomic_writer,
-                              file_sha256, map_optional_bytes, read_input, stream_input)
+from beamwatch.ioutil import (as_text, atomic_write_text, atomic_writer, map_entry_of,
+                              read_input, stream_input)
 
 
 @pytest.fixture
@@ -68,11 +68,13 @@ def test_exception_after_partial_writes_keeps_old_target(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["wiresum.csv"]
 
 
-def test_binary_writes_chunks_in_order_with_the_text_mode(tmp_path, umask):
+def test_binary_writes_in_order_with_the_text_mode(tmp_path, umask):
     umask(0o027)
     path = tmp_path / "cache" / "entry"
     table = np.array([[0.0, 1.0], [-0.0, 2.5]])
-    atomic_write_bytes(path, b"tag", memoryview(b"12"), table)
+    with atomic_writer(path, binary=True) as fh:
+        for chunk in (b"tag", memoryview(b"12"), table):
+            fh.write(chunk)
     assert path.read_bytes() == b"tag12" + table.tobytes()
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
     assert [p.name for p in path.parent.iterdir()] == ["entry"]
@@ -80,30 +82,67 @@ def test_binary_writes_chunks_in_order_with_the_text_mode(tmp_path, umask):
 
 def test_failed_binary_write_keeps_old_target(tmp_path):
     path = tmp_path / "entry"
-    atomic_write_bytes(path, b"old")
+    path.write_bytes(b"old")
     with pytest.raises(TypeError):
-        atomic_write_bytes(path, b"new", "not bytes")
+        with atomic_writer(path, binary=True) as fh:
+            fh.write(b"new")
+            fh.write("not bytes")
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["entry"]
 
 
-def test_map_optional_bytes(tmp_path):
-    assert map_optional_bytes(tmp_path / "missing") is None
-    (tmp_path / "empty").write_bytes(b"")
-    assert map_optional_bytes(tmp_path / "empty") is None
-    (tmp_path / "there").write_bytes(b"\x00\xff" * 5000)
-    mapped = map_optional_bytes(tmp_path / "there")
-    assert mapped[:] == b"\x00\xff" * 5000
-    with pytest.raises(TypeError):
-        mapped[0] = 1
+def test_failed_write_removes_the_directories_it_made(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "kept").write_text("")
+    for path in (tmp_path / "out" / ".cache" / "a" / "entry", tmp_path / "new" / "entry"):
+        with pytest.raises(RuntimeError):
+            with atomic_writer(path, binary=True) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("parse failed")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept", "out"]
 
 
-@pytest.mark.parametrize("size", [0, 1, ioutil._DIGEST_CHUNK - 1, ioutil._DIGEST_CHUNK,
-                                  3 * ioutil._DIGEST_CHUNK + 5])
-def test_file_sha256_equals_the_digest_of_the_bytes(tmp_path, size):
+def entry_bytes(tag: bytes, copy: bytes, n: int, payload: bytes) -> bytes:
+    return (tag + len(copy).to_bytes(8, "little") + n.to_bytes(8, "little") + copy
+            + bytes(-len(copy) % 8) + payload)
+
+
+SIZES = [0, 1, 7, ioutil._COMPARE_CHUNK - 1, ioutil._COMPARE_CHUNK,
+         ioutil._COMPARE_CHUNK + 1, 3 * ioutil._COMPARE_CHUNK + 5]
+
+
+@pytest.mark.parametrize("payload", [b"payload!" * 3, b""], ids=["payload", "none"])
+@pytest.mark.parametrize("size", SIZES + [2 * mmap.ALLOCATIONGRANULARITY - 24])
+def test_map_entry_of_a_copy_maps_its_payload(tmp_path, size, payload):
     raw = np.random.default_rng(size).bytes(size)
     (tmp_path / "in").write_bytes(raw)
-    assert file_sha256(tmp_path / "in") == hashlib.sha256(raw).digest()
+    (tmp_path / "entry").write_bytes(entry_bytes(b"8bytetag", raw, 3, payload))
+    n, mapped = map_entry_of(tmp_path / "entry", tmp_path / "in", b"8bytetag")
+    assert n == 3 and mapped.tobytes() == payload
+    # the map holds no more than one page of the copy, even where the copy
+    # ends on a page
+    assert len(mapped.obj) - len(payload) <= mmap.ALLOCATIONGRANULARITY
+    with pytest.raises(TypeError):
+        mapped.obj[0] = 1
+
+
+@pytest.mark.parametrize("size", SIZES[1:])
+def test_map_entry_of_any_other_input_is_none(tmp_path, size):
+    raw = np.random.default_rng(size).bytes(size)
+    entry = entry_bytes(b"tag", raw, 0, b"")
+    (tmp_path / "entry").write_bytes(entry)
+    for other in (raw[:-1], raw + b"\0", b"\0" + raw[1:] if raw[0] else b"\1" + raw[1:],
+                  raw[:-1] + bytes([raw[-1] ^ 128])):
+        (tmp_path / "in").write_bytes(other)
+        assert map_entry_of(tmp_path / "entry", tmp_path / "in", b"tag") is None
+    (tmp_path / "in").write_bytes(raw)
+    # the copy cut short, the header cut short, a foreign tag and (where
+    # there is padding) padding that is not zero
+    damaged = [entry[:len(entry) - 1 - -size % 8], b"tag", b"", b"gat" + entry[3:]]
+    for damage in damaged + [entry[:-1] + b"\1"] * bool(size % 8):
+        (tmp_path / "entry").write_bytes(damage)
+        assert map_entry_of(tmp_path / "entry", tmp_path / "in", b"tag") is None
+    assert map_entry_of(tmp_path / "missing", tmp_path / "in", b"tag") is None
 
 
 def test_read_input_hands_over_the_bytes(tmp_path):
@@ -150,3 +189,12 @@ def test_stream_input_names_the_file(tmp_path):
 
     with pytest.raises(DataError, match=f"^{path}: no rows$"):
         stream_input(path, reject)
+
+
+def test_map_entry_of_a_copy_cut_short_is_none(tmp_path):
+    # the second chunk of the input equals the first, which the compare
+    # buffer still holds when the entry's copy ends after one chunk
+    chunk = np.random.default_rng(0).bytes(ioutil._COMPARE_CHUNK)
+    (tmp_path / "in").write_bytes(chunk * 2)
+    (tmp_path / "entry").write_bytes(entry_bytes(b"tag", chunk * 2, 0, b"")[:-len(chunk)])
+    assert map_entry_of(tmp_path / "entry", tmp_path / "in", b"tag") is None

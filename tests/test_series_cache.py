@@ -4,8 +4,8 @@ entry is a miss that re-parses and rewrites it, an invalid input is never
 cached, and the CLI's outputs do not depend on the cache's state."""
 
 import contextlib
-import hashlib
 import io
+import itertools
 import shutil
 import tempfile
 from pathlib import Path
@@ -16,22 +16,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamwatch import cli, data
+from beamwatch import cli, data, ioutil
 from beamwatch.config import RunConfig
 from beamwatch.errors import BeamwatchError, OrderError, ParseError
 
 from conftest import traced_peak
 from test_data import line_loop_series, mangled_series_texts, parse_outcome, series_texts
 
-TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.5,-3e-300\n"
+# 41 bytes, so its entry holds padding after the copy
+TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.75,-3e-300\n"
+# the entry's tag, the copy's length L and the row count n
+HEAD = len(cli._CACHE_TAG) + 16
 
 
 def read(path: Path, out: Path) -> data.RawSeries:
     return cli._read_series_file(str(path), RunConfig(output_dir=str(out)))
 
 
+def read_outcome(path: Path, out: Path) -> tuple:
+    """What `read` makes of `path`: the arrays, or the error's type and its
+    message less the path in front."""
+    try:
+        return arrays(read(path, out))
+    except BeamwatchError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return type(exc), str(exc)[len(f"{path}: "):]
+
+
 def entry_of(path: Path, out: Path) -> Path:
     return out / ".series_cache" / path.stem
+
+
+def copy_in(entry: bytes) -> bytes:
+    """The copy of the input bytes that a cache entry holds."""
+    return entry[HEAD:HEAD + int.from_bytes(entry[8:16], "little")]
 
 
 def arrays(s: data.RawSeries) -> tuple:
@@ -97,13 +115,35 @@ def test_streamed_parse_bitwise_equals_whole_and_line_loop(text, block):
         whole = parse_outcome(data.parse_series_csv, raw)
         path, out = Path(tmp) / "ch.csv", Path(tmp) / "out"
         path.write_bytes(raw)
+        copied = []
         with no_line_loop():
-            streamed, digest = data.read_series(io.BytesIO(raw), "ch")
+            streamed = data.read_series(io.BytesIO(raw), "ch", copied.append)
             miss = read(path, out)
         entry = entry_of(path, out).read_bytes()
     want = parse_outcome(line_loop_series, text)
     assert arrays(streamed) == arrays(miss) == whole == want
-    assert entry[8:40] == digest == hashlib.sha256(raw).digest()
+    assert b"".join(copied) == copy_in(entry) == raw
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 8, 64, 1 << 16])
+@pytest.mark.parametrize("head, ends, tail", [
+    ("\n", ["\n", "\r\n"], ""),
+    ("\r\n", ["\r\n", "\r\r\n", "\n"], ""),
+    ("\r\r\n", ["\n", "\r\n\r\n", "\n\r\r\n", "\r\n\n"], "\r"),
+    ("\n", ["\r\n", "\n\r\n", " \r\r\n", "\r\n\t\r\n"], "\r\n\r"),
+], ids=["lf and crlf", "lone cr ends a row", "lone cr blank lines", "blank lines at the end"])
+@pytest.mark.parametrize("bad", [None, "60,9O"], ids=["valid", "late malformed row"])
+def test_mixed_line_ends_count_lines_as_the_line_loop(monkeypatch, block, head, ends, tail, bad):
+    # with blocks of 4 bytes the read of "0,1\r\n" ends between "\r" and "\n"
+    rows = [f"{t},1" for t in range(80)]
+    if bad:
+        rows[60] = bad
+    text = (data.SERIES_CSV_HEADER + head +
+            "".join(row + end for row, end in zip(rows, itertools.cycle(ends))) + tail)
+    monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", block)
+    want = parse_outcome(line_loop_series, text)
+    assert want[0] == (ParseError if bad else np.float64)
+    assert parse_outcome(data.parse_series_csv, text) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,16 +153,12 @@ def test_cold_read_of_any_text_matches_the_line_loop(text, block):
         patch.setattr(data, "_PARSE_BLOCK_BYTES", block)
         path, out = Path(tmp) / "ch.csv", Path(tmp) / "out"
         path.write_bytes(text.encode())
-        try:
-            got = arrays(read(path, out))
-        except BeamwatchError as exc:
-            kind, message = type(exc), str(exc)
-            assert message.startswith(f"{path}: ")
-            got = kind, message[len(f"{path}: "):]
-        else:
-            # keyed by the file's bytes, whichever blocks the line loop read
-            assert entry_of(path, out).read_bytes()[8:40] == \
-                hashlib.sha256(text.encode()).digest()
+        got = read_outcome(path, out)
+        entry = entry_of(path, out)
+        # a valid file alone is cached, with a copy of its bytes, whichever
+        # blocks the line loop read
+        assert (copy_in(entry.read_bytes()) if entry.exists() else None) == \
+            (text.encode() if got[0] == np.float64 else None)
     assert got == parse_outcome(line_loop_series, text)
 
 
@@ -142,11 +178,12 @@ class GrowsOnRewind(io.BytesIO):
 
 def test_more_rows_than_counted_grow_the_table():
     grown = GrowsOnRewind(b"timestamp,value\n0,1\n")
+    copied = []
     with no_line_loop():
-        series, digest = data.read_series(grown, "ch")
+        series = data.read_series(grown, "ch", copied.append)
     assert series.timestamps.tolist() == [0, 5, 6] and series.values.tolist() == [1] * 3
-    # keyed by the bytes that were parsed, not those the first pass counted
-    assert digest == hashlib.sha256(grown.getvalue()).digest()
+    # a copy of the bytes that were parsed, not those the first pass counted
+    assert b"".join(copied) == grown.getvalue()
 
 
 class Recorded(io.BytesIO):
@@ -223,7 +260,7 @@ def test_valid_non_plain_late_block_alone_goes_to_the_line_loop(box):
     first = 2 + sum(block.count(b"\n") for block in blocks[:bad])
     assert line_loop.call_args.args == (blocks[bad].decode(), first, first - 3.0)
     assert arrays(miss) == parse_outcome(line_loop_series, raw.decode())
-    assert entry_of(path, out).read_bytes()[8:40] == hashlib.sha256(raw).digest()
+    assert copy_in(entry_of(path, out).read_bytes()) == raw
     with no_parse():
         assert read(path, out).values[150_000] == 90.0
     # no more than twice the [2, n] table that the entry holds
@@ -261,10 +298,13 @@ def test_entry_layout(box):
     path, out = box
     series = read(path, out)
     entry = entry_of(path, out).read_bytes()
-    assert entry[:8] == cli._CACHE_TAG
-    assert entry[8:40] == hashlib.sha256(TEXT.encode()).digest()
-    assert int.from_bytes(entry[40:48], "little") == 3
-    assert entry[48:] == np.stack([series.timestamps, series.values]).astype("<f8").tobytes()
+    size = len(TEXT)
+    assert entry[:8] == cli._CACHE_TAG and HEAD == 24
+    assert int.from_bytes(entry[8:16], "little") == size == 41
+    assert int.from_bytes(entry[16:24], "little") == 3
+    assert entry[24:24 + size] == TEXT.encode()
+    assert entry[24 + size:72] == bytes(7)  # zero padding to a multiple of 8
+    assert entry[72:] == np.stack([series.timestamps, series.values]).astype("<f8").tobytes()
 
 
 def test_hit_arrays_are_read_only_views(box):
@@ -303,7 +343,9 @@ def test_hit_never_holds_the_file_in_memory(tmp_path):
     with no_parse():
         hit, peak = traced_peak(lambda: read(path, out))
     assert arrays(hit) == arrays(miss)
-    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+    # the two compare buffers, then RawSeries's checks' one-byte-a-row masks
+    assert peak < 4 * ioutil._COMPARE_CHUNK < path.stat().st_size / 20, \
+        (peak, path.stat().st_size)
 
 
 def test_cold_read_never_holds_the_file_in_memory(tmp_path, rng):
@@ -325,13 +367,65 @@ def test_one_changed_byte_reparses(box):
     path, out = box
     read(path, out)
     before = entry_of(path, out).read_bytes()
-    path.write_text(TEXT.replace("2.5,-3e-300", "2.5,-4e-300"))
+    path.write_text(TEXT.replace("2.75,-3e-300", "2.75,-4e-300"))
     series = read(path, out)
     assert series.values[-1] == -4e-300
     after = entry_of(path, out).read_bytes()
-    assert after != before and after[40:] != before[40:]
+    assert after[:24] == before[:24] and copy_in(after) == path.read_bytes()
+    assert after[72:] != before[72:]
     with no_parse():
         assert read(path, out).values[-1] == -4e-300
+
+
+# a valid file of a little over three compare chunks
+ROWS = "".join(f"{t},{t / 7!r}\n" for t in range(10_000))
+assert 3 * ioutil._COMPARE_CHUNK < len(ROWS) < 4 * ioutil._COMPARE_CHUNK
+
+
+@st.composite
+def changed_inputs(draw):
+    """A compare chunk size, the bytes of a valid series file and a change
+    to them: one flipped bit at any offset, at a chunk edge or in the last
+    chunk, a truncation or appended bytes."""
+    chunk = draw(st.sampled_from([3, 8, 64, ioutil._COMPARE_CHUNK]))
+    text = data.SERIES_CSV_HEADER + "\n" + ROWS if chunk == ioutil._COMPARE_CHUNK else \
+        draw(series_texts(plain=True) | series_texts())
+    raw = text.encode()
+    kind = draw(st.sampled_from(["flip", "edge", "last", "truncate", "append"]))
+    if kind == "truncate":
+        return chunk, raw, raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return chunk, raw, raw + draw(st.binary(min_size=1, max_size=2 * min(chunk, 64)) |
+                                      st.sampled_from([b"\n", b"\r\n", b"1e300,0\n"]))
+    at = draw(st.integers(0, len(raw) - 1))
+    if kind == "edge":
+        at = draw(st.integers(1, max(1, (len(raw) - 1) // chunk))) * chunk
+        at = min(max(at + draw(st.sampled_from([-1, 0, 1])), 0), len(raw) - 1)
+    elif kind == "last":
+        at = draw(st.integers((len(raw) - 1) // chunk * chunk, len(raw) - 1))
+    changed = raw[:at] + bytes([raw[at] ^ 1 << draw(st.integers(0, 7))]) + raw[at + 1:]
+    return chunk, raw, changed
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed_inputs())
+def test_changed_input_reparses_as_a_cold_read(case):
+    chunk, raw, changed = case
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(ioutil, "_COMPARE_CHUNK", chunk)
+        path, out = Path(tmp) / "ch.csv", Path(tmp) / "out"
+        path.write_bytes(raw)
+        cached = read_outcome(path, out)
+        assert cached[0] == np.float64
+        with no_parse():  # unchanged bytes hit
+            assert read_outcome(path, out) == cached
+        path.write_bytes(changed)
+        with mock.patch.object(data, "read_series", wraps=data.read_series) as parse:
+            got = read_outcome(path, out)
+        assert parse.call_count == 1
+        assert got == read_outcome(path, Path(tmp) / "cold")
+        if got[0] == np.float64:  # a valid change replaces the entry
+            assert copy_in(entry_of(path, out).read_bytes()) == changed
 
 
 def _flip(b: bytes, at: int) -> bytes:
@@ -339,22 +433,27 @@ def _flip(b: bytes, at: int) -> bytes:
 
 
 def _payload(b: bytes, row: int, column: int, value: float) -> bytes:
-    n = int.from_bytes(b[40:48], "little")
-    at = 48 + 8 * (column * n + row)
+    size, n = (int.from_bytes(b[at:at + 8], "little") for at in (8, 16))
+    at = HEAD + size + -size % 8 + 8 * (column * n + row)
     return b[:at] + np.float64(value).astype("<f8").tobytes() + b[at + 8:]
 
 
 DAMAGE = {
     "empty": lambda b: b"",
     "short": lambda b: b[:20],
-    "header only": lambda b: b[:48],
+    "header only": lambda b: b[:HEAD],
+    "copy cut short": lambda b: b[:HEAD + 30],
     "truncated byte": lambda b: b[:-1],
     "truncated row": lambda b: b[:-16],
     "extra bytes": lambda b: b + b"\0" * 16,
     "garbage": lambda b: b"timestamp,value\n" * 8,
     "foreign tag": lambda b: _flip(b, 0),
-    "foreign digest": lambda b: _flip(b, 20),
-    "row count": lambda b: _flip(b, 40),
+    "shorter copy length": lambda b: _flip(b, 8),
+    "longer copy length": lambda b: _flip(b, 9),
+    "row count": lambda b: _flip(b, 16),
+    "copy byte": lambda b: _flip(b, HEAD + 20),
+    "last copy byte": lambda b: _flip(b, HEAD + len(TEXT) - 1),
+    "padding": lambda b: _flip(b, HEAD + len(TEXT) + 3),
     "nan value": lambda b: _payload(b, 1, 1, np.nan),
     "unordered stamps": lambda b: _payload(b, 2, 0, 0.5),
 }
@@ -403,7 +502,8 @@ def test_invalid_input_is_never_cached(box, text, error, message):
         with pytest.raises(error) as info:
             read(path, out)
         errors.append(str(info.value))
-        assert not entry_of(path, out).exists()
+        # no entry, temp file or directory made for them
+        assert not out.exists()
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"{path}: {message}")
 
@@ -416,6 +516,7 @@ def test_invalid_input_keeps_the_entry_of_an_earlier_valid_one(box):
     with pytest.raises(BeamwatchError):
         read(path, out)
     assert entry_of(path, out).read_bytes() == intact
+    assert [p.name for p in entry_of(path, out).parent.iterdir()] == [path.stem]
 
 
 SMALL = """
