@@ -27,44 +27,76 @@ from .ioutil import (atomic_write_text, atomic_writer, map_entry_of, read_input,
                      stream_input)
 
 
-# A parse-cache entry (see `ioutil.map_entry_of`): this tag, the input's
-# length L and the row count n (uint64 LE each), a copy of the L input
-# bytes, zero padding to a multiple of 8, then the parsed [2, n] table
-# (stamps, then values) as little-endian float64.
-_CACHE_TAG = b"bwcsvcpy"
+# A parse-cache entry (see `ioutil.map_entry_of`): its kind's tag, the
+# input's length L and the row count n (uint64 LE each), a copy of the L
+# input bytes, zero padding to a multiple of 8, then the 16·n-byte table: a
+# series file's [2, n] little-endian float64 stamps, then values, or the
+# anomaly CSV's n `detect.ANOMALY_DTYPE` rows.
+_SERIES_TAG = b"bwcsvcpy"
+_ANOMALY_TAG = b"bwanocpy"
+
+
+def _read_cached(path: str | Path, cfg: RunConfig, tag: bytes, view, parse):
+    """The value of the input `path` through its parse-cache entry
+    `<output_dir>/.series_cache/<stem>`. A hit is an entry of `tag` with a
+    copy of the file's bytes and a 16·n-byte table that `view(n, table)`
+    turns into the value, not None. Else `parse(copy)` reads the file, hands
+    its bytes to `copy` and returns the value and the table's arrays, which
+    follow them into the entry's temp file, discarded if the parse fails."""
+    entry_path = Path(cfg.output_dir) / ".series_cache" / Path(path).stem
+    cached = map_entry_of(entry_path, path, tag)
+    if cached is not None and len(cached[1]) == 16 * cached[0] and \
+            (value := view(*cached)) is not None:
+        return value
+    head = len(tag) + 16
+    with atomic_writer(entry_path, binary=True) as entry:
+        entry.write(bytes(head))  # the header goes in once the parse is done
+        value, tables = parse(entry.write)
+        size = entry.tell() - head
+        entry.writelines([bytes(-size % 8), *tables])
+        entry.seek(0)
+        entry.write(tag + size.to_bytes(8, "little") + len(tables[0]).to_bytes(8, "little"))
+    return value
 
 
 def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
-    """Read one series file, named after its stem, through the parse cache
-    in `<output_dir>/.series_cache/<stem>`.
+    """Read one series file, named after its stem, through the parse cache.
 
-    A hit compares the file with the copy in the entry, a chunk at a time,
-    and views the table in the read-only mapped entry. A miss reads the file
-    with `data.read_series`, which parses it a block at a time into the
-    table, and streams those very blocks into the entry's temp file, which
-    is discarded if the parse fails; a block that is not plain goes through
-    the line loop by itself, which names any error's line. So neither holds
-    the file in memory whole.
+    A hit views the table in the read-only mapped entry. A miss reads the
+    file with `data.read_series`, which parses it a block at a time into the
+    table and streams those very blocks into the entry's temp file; a block
+    that is not plain goes through the line loop by itself, which names any
+    error's line. So neither holds the file in memory whole.
     """
     name = Path(path).stem
-    entry_path = Path(cfg.output_dir) / ".series_cache" / name
-    cached = map_entry_of(entry_path, path, _CACHE_TAG)
-    if cached is not None and len(cached[1]) == 16 * cached[0]:
-        table = np.frombuffer(cached[1], dtype="<f8").reshape(2, cached[0])
+
+    def view(n, table):
         # RawSeries checks the table again; an entry that fails is a miss.
         with contextlib.suppress(BeamwatchError):
-            return data.RawSeries(name, table[0], table[1])
-    head = len(_CACHE_TAG) + 16
-    with atomic_writer(entry_path, binary=True) as entry:
-        entry.write(bytes(head))  # the header goes in once the parse is done
-        series = stream_input(path, data.read_series, name, entry.write)
-        size = entry.tell() - head
-        entry.write(bytes(-size % 8))
-        entry.write(np.ascontiguousarray(series.timestamps, dtype="<f8"))
-        entry.write(np.ascontiguousarray(series.values, dtype="<f8"))
-        entry.seek(0)
-        entry.write(_CACHE_TAG + size.to_bytes(8, "little") + len(series).to_bytes(8, "little"))
-    return series
+            return data.RawSeries(name, *np.frombuffer(table, dtype="<f8").reshape(2, n))
+
+    def parse(copy):
+        series = stream_input(path, data.read_series, name, copy)
+        return series, [np.ascontiguousarray(series.timestamps, dtype="<f8"),
+                        np.ascontiguousarray(series.values, dtype="<f8")]
+
+    return _read_cached(path, cfg, _SERIES_TAG, view, parse)
+
+
+def _read_anomalies(path: Path, cfg: RunConfig) -> np.ndarray:
+    """The anomaly table of `path` through the parse cache: a hit views the
+    mapped entry, whose errors must be finite as a parse's are; a miss reads
+    the file once and parses it with `parse_anomaly_csv`."""
+    def view(n, table):
+        table = np.frombuffer(table, dtype=detect.ANOMALY_DTYPE)
+        return table if np.isfinite(table["error"]).all() else None
+
+    def parse(copy):
+        raw, table = read_input(path, lambda raw: (raw, detect.parse_anomaly_csv(raw)))
+        copy(raw)
+        return table, [table]
+
+    return _read_cached(path, cfg, _ANOMALY_TAG, view, parse)
 
 
 def _read_frame(cfg: RunConfig) -> data.AlignedFrame:
@@ -248,7 +280,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     """Score the anomaly CSV against ground truth over the test span."""
     out = Path(cfg.output_dir)
     anomalies_path = out / "anomalies.csv"
-    anomalies = read_input(anomalies_path, detect.parse_anomaly_csv)
+    anomalies = _read_anomalies(anomalies_path, cfg)
     current = _read_current(cfg)
     truth = _ground_truth(cfg, current)
     test = _test_split(current, cfg.train_fraction)

@@ -212,8 +212,9 @@ def score_detections(anomalies: np.ndarray | Sequence[AnomalyPoint],
     predicted = np.zeros(n_seconds, dtype=bool)
     predicted[seconds] = True
     # match intervals [lo, hi] as offsets into the span; `truth` is their
-    # union, painted one interval at a time
-    lo = np.maximum(bounds[:, 0] - lead_window - span_start, 0)
+    # union, painted one interval at a time. Any lead of at least the span's
+    # length gives lo = 0, so the lead is clamped to it to fit int64.
+    lo = np.maximum(bounds[:, 0] - min(lead_window, n_seconds) - span_start, 0)
     hi = bounds[:, 0 if mode == "lead_only" else 1] - span_start
     truth = np.zeros(n_seconds, dtype=bool)
     for a, b in zip(lo.tolist(), hi.tolist()):

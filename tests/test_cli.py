@@ -442,6 +442,20 @@ class TestEvalScenario:
             settings.append((doc["lead_window"], doc["mode"]))
         assert settings == [(30, "lead_plus_duration"), (10, "lead_only")]
 
+    def test_lead_window_beyond_int64(self, tmp_path, capsys):
+        box = tmp_path
+        (box / "run.cfg").write_text("scoring_mode = lead_only\n")
+        (box / "current.csv").write_text(
+            "timestamp,value\n" + "".join(f"{t},90.0\n" for t in range(200)))
+        (box / "faults.csv").write_text("start\n150\n")
+        (box / "out").mkdir()
+        (box / "out" / "anomalies.csv").write_text("timestamp,error\n101,2.5\n")
+        assert main(["eval", "--config", str(box / "run.cfg"),
+                     "--set", "lead_window=100000000000000000000"]) == 0
+        doc = json.loads((box / "out" / "eval_report.json").read_text())
+        assert doc["lead_window"] == 10**20 and doc["true_positives"] == 1
+        assert capsys.readouterr().err == ""
+
     def test_vacuous_eval(self, tmp_path):
         box = tmp_path
         (box / "run.cfg").write_text("")
@@ -577,7 +591,7 @@ def tiny_run(tmp_path_factory):
 
 def _file_digests(root: Path) -> dict[str, bytes]:
     """sha256 of every file under `root` but the parse cache's entries,
-    which a mutated but valid series may rewrite."""
+    which a mutated but valid series or anomaly CSV may rewrite."""
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).digest()
             for p in root.rglob("*") if p.is_file() and ".series_cache" not in p.parts}
 

@@ -4,6 +4,7 @@ the anomaly CSV, including its one-pass parse against the line loop."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,16 @@ class TestScoreDetections:
                                          lead_window=1, mode="lead_only",
                                          frame_span=(0, 9))
         assert report.accuracy == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("mode", detect.SCORING_MODES)
+    def test_lead_beyond_int64_scores_as_the_span_length(self, mode):
+        # any lead of at least the span's 100 s reaches back to its first second
+        span, faults = (100, 199), [FaultEvent(150, 160), FaultEvent(190, 250)]
+        anomalies = [AnomalyPoint(101, 1.0), AnomalyPoint(185, 1.0)]
+        report = detect.score_detections(anomalies, faults, 10**20, mode, span)
+        assert report.lead_window == 10**20 and report.true_positives == 2
+        assert replace(report, lead_window=100) == \
+            detect.score_detections(anomalies, faults, 100, mode, span)
 
     def test_matches_exhaustive_matcher(self, rng):
         for trial in range(120):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamwatch import cli, data, ioutil
+from beamwatch import cli, data, detect, ioutil
 from beamwatch.config import RunConfig
 from beamwatch.errors import BeamwatchError, OrderError, ParseError
 
@@ -26,7 +26,7 @@ from test_data import line_loop_series, mangled_series_texts, parse_outcome, ser
 # 41 bytes, so its entry holds padding after the copy
 TEXT = "timestamp,value\n0,1.5\n1,2.5\n2.75,-3e-300\n"
 # the entry's tag, the copy's length L and the row count n
-HEAD = len(cli._CACHE_TAG) + 16
+HEAD = len(cli._SERIES_TAG) + 16
 
 
 def read(path: Path, out: Path) -> data.RawSeries:
@@ -58,9 +58,11 @@ def arrays(s: data.RawSeries) -> tuple:
 
 @contextlib.contextmanager
 def no_parse():
-    """Fail the block if it parses a series: what it reads must be a hit."""
+    """Fail the block if it parses a series or an anomaly CSV: what it reads
+    must be a hit."""
     with mock.patch.object(data, "parse_series_csv", side_effect=AssertionError("parsed")), \
-            mock.patch.object(data, "read_series", side_effect=AssertionError("parsed")):
+            mock.patch.object(data, "read_series", side_effect=AssertionError("parsed")), \
+            mock.patch.object(detect, "parse_anomaly_csv", side_effect=AssertionError("parsed")):
         yield
 
 
@@ -299,7 +301,7 @@ def test_entry_layout(box):
     series = read(path, out)
     entry = entry_of(path, out).read_bytes()
     size = len(TEXT)
-    assert entry[:8] == cli._CACHE_TAG and HEAD == 24
+    assert entry[:8] == cli._SERIES_TAG and HEAD == 24
     assert int.from_bytes(entry[8:16], "little") == size == 41
     assert int.from_bytes(entry[16:24], "little") == 3
     assert entry[24:24 + size] == TEXT.encode()
@@ -548,7 +550,8 @@ def test_cli_outputs_do_not_depend_on_the_cache(tmp_path):
     assert cli.main(["synth", "--config", str(tmp_path / "run.cfg")]) == 0
     cache = tmp_path / "out" / ".series_cache"
     cold = _run_stages(tmp_path)
-    assert sorted(p.name for p in cache.iterdir()) == ["current", "wiresum", "xpos", "ypos"]
+    assert sorted(p.name for p in cache.iterdir()) == \
+        ["anomalies", "current", "wiresum", "xpos", "ypos"]
     with no_parse():
         warm = _run_stages(tmp_path)
     shutil.rmtree(cache)
