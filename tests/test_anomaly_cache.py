@@ -3,7 +3,6 @@ anomalies`: a hit is bitwise the parse and views the entry read-only, any
 damage to the entry or change to the file is a miss that parses again, an
 invalid file is never cached, and `eval` reports what the file holds."""
 
-import contextlib
 import json
 import tempfile
 from pathlib import Path
@@ -17,6 +16,7 @@ from beamwatch import cli, detect
 from beamwatch.config import RunConfig
 
 from test_detect import anomaly_outcome, anomaly_texts
+from test_series_cache import no_parse
 
 # 29 bytes, so its entry holds padding after the copy
 TEXT = "timestamp,error\n5,0.5\n7,-0.0\n"
@@ -29,13 +29,6 @@ def read(path: Path, out: Path) -> np.ndarray:
 
 def entry_of(out: Path) -> Path:
     return out / ".series_cache" / "anomalies"
-
-
-@contextlib.contextmanager
-def no_parse():
-    """Fail the block if it parses an anomaly CSV: what it reads must be a hit."""
-    with mock.patch.object(detect, "parse_anomaly_csv", side_effect=AssertionError("parsed")):
-        yield
 
 
 @pytest.fixture
