@@ -3,7 +3,9 @@
 Each subcommand takes --config <path> plus repeatable --set key=value
 overrides, exits 0 on success, and prints a single-line diagnostic to stderr
 with a nonzero exit on failure. Reports are written in both human-readable
-text and machine-readable JSON.
+text and machine-readable JSON. The series files and the anomaly CSV are
+read through the parse cache, `ioutil.read_cached`; this module gives it
+only each kind's tag, a view of an entry's table and a parse.
 """
 
 from __future__ import annotations
@@ -23,40 +25,16 @@ from . import autoencoder as ae
 from . import data, detect, faults, synth
 from .config import RunConfig, load_run_config
 from .errors import BeamwatchError, ConfigError, DataError
-from .ioutil import (atomic_write_text, atomic_writer, map_entry_of, read_input, remove_file,
-                     stream_input)
+from .ioutil import atomic_write_text, atomic_writer, read_cached, read_input, remove_file
 
 
-# A parse-cache entry (see `ioutil.map_entry_of`): its kind's tag, the
-# input's length L and the row count n (uint64 LE each), a copy of the L
-# input bytes, zero padding to a multiple of 8, then the 16·n-byte table: a
-# series file's [2, n] little-endian float64 stamps, then values, or the
-# anomaly CSV's n `detect.ANOMALY_DTYPE` rows.
+# Each kind of input read through the parse cache (see `ioutil.read_cached`),
+# in `<output_dir>/.series_cache`, has its own tag, so neither is read as the
+# other. A series entry's table is its [2, n] little-endian float64 stamps,
+# then values; the anomaly CSV's is its n `detect.ANOMALY_DTYPE` rows.
 _SERIES_TAG = b"bwcsvcpy"
 _ANOMALY_TAG = b"bwanocpy"
-
-
-def _read_cached(path: str | Path, cfg: RunConfig, tag: bytes, view, parse):
-    """The value of the input `path` through its parse-cache entry
-    `<output_dir>/.series_cache/<stem>`. A hit is an entry of `tag` with a
-    copy of the file's bytes and a 16·n-byte table that `view(n, table)`
-    turns into the value, not None. Else `parse(copy)` reads the file, hands
-    its bytes to `copy` and returns the value and the table's arrays, which
-    follow them into the entry's temp file, discarded if the parse fails."""
-    entry_path = Path(cfg.output_dir) / ".series_cache" / Path(path).stem
-    cached = map_entry_of(entry_path, path, tag)
-    if cached is not None and len(cached[1]) == 16 * cached[0] and \
-            (value := view(*cached)) is not None:
-        return value
-    head = len(tag) + 16
-    with atomic_writer(entry_path, binary=True) as entry:
-        entry.write(bytes(head))  # the header goes in once the parse is done
-        value, tables = parse(entry.write)
-        size = entry.tell() - head
-        entry.writelines([bytes(-size % 8), *tables])
-        entry.seek(0)
-        entry.write(tag + size.to_bytes(8, "little") + len(tables[0]).to_bytes(8, "little"))
-    return value
+_CACHE_DIR = ".series_cache"
 
 
 def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
@@ -75,12 +53,12 @@ def _read_series_file(path: str, cfg: RunConfig) -> data.RawSeries:
         with contextlib.suppress(BeamwatchError):
             return data.RawSeries(name, *np.frombuffer(table, dtype="<f8").reshape(2, n))
 
-    def parse(copy):
-        series = stream_input(path, data.read_series, name, copy)
+    def parse(src, copy):
+        series = data.read_series(src, name, copy)
         return series, [np.ascontiguousarray(series.timestamps, dtype="<f8"),
                         np.ascontiguousarray(series.values, dtype="<f8")]
 
-    return _read_cached(path, cfg, _SERIES_TAG, view, parse)
+    return read_cached(path, Path(cfg.output_dir, _CACHE_DIR), _SERIES_TAG, view, parse)
 
 
 def _read_anomalies(path: Path, cfg: RunConfig) -> np.ndarray:
@@ -91,26 +69,20 @@ def _read_anomalies(path: Path, cfg: RunConfig) -> np.ndarray:
         table = np.frombuffer(table, dtype=detect.ANOMALY_DTYPE)
         return table if np.isfinite(table["error"]).all() else None
 
-    def parse(copy):
-        raw, table = read_input(path, lambda raw: (raw, detect.parse_anomaly_csv(raw)))
+    def parse(src, copy):
+        raw = src.read()
         copy(raw)
+        table = detect.parse_anomaly_csv(raw)
         return table, [table]
 
-    return _read_cached(path, cfg, _ANOMALY_TAG, view, parse)
+    return read_cached(path, Path(cfg.output_dir, _CACHE_DIR), _ANOMALY_TAG, view, parse)
 
 
-def _read_frame(cfg: RunConfig) -> data.AlignedFrame:
-    """Parse the series files and align them to the 1 Hz grid."""
-    series = [_read_series_file(p, cfg) for p in cfg.series_files]
-    with _derived_from(*cfg.series_files):
+def _read_aligned(cfg: RunConfig, paths: tuple[str, ...]) -> data.AlignedFrame:
+    """Parse the series files `paths` and align them to the 1 Hz grid."""
+    series = [_read_series_file(p, cfg) for p in paths]
+    with _derived_from(*paths):
         return data.align_and_fill(series)
-
-
-def _read_current(cfg: RunConfig) -> data.AlignedFrame:
-    """Parse the beam-current file and align it to the 1 Hz grid."""
-    current = _read_series_file(cfg.current_file, cfg)
-    with _derived_from(cfg.current_file):
-        return data.align_and_fill([current])
 
 
 def _ground_truth(cfg: RunConfig, current: data.AlignedFrame) -> list[faults.FaultEvent]:
@@ -178,10 +150,10 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     """Train on the cleaned chronological train split and save the artifact."""
-    frame = _read_frame(cfg)
+    frame = _read_aligned(cfg, cfg.series_files)
     train_frame, _ = data.chronological_split(frame, cfg.train_fraction)
 
-    current = _read_current(cfg)
+    current = _read_aligned(cfg, (cfg.current_file,))
     truth = _ground_truth(cfg, current)
     clean = data.remove_fault_neighborhoods(train_frame, truth, cfg.fault_margin)
     with _derived_from(*cfg.series_files):
@@ -229,7 +201,7 @@ def cmd_detect(cfg: RunConfig) -> None:
     if model.channel_stats is None or model.threshold is None:
         raise ConfigError(f"model {cfg.model_file} is not calibrated "
                           "(missing channel stats or threshold)")
-    frame = _read_frame(cfg)
+    frame = _read_aligned(cfg, cfg.series_files)
     if len(frame.channels) != model.config.feature_m:
         raise ConfigError(
             f"model was trained on {model.config.feature_m} channels but "
@@ -281,7 +253,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     out = Path(cfg.output_dir)
     anomalies_path = out / "anomalies.csv"
     anomalies = _read_anomalies(anomalies_path, cfg)
-    current = _read_current(cfg)
+    current = _read_aligned(cfg, (cfg.current_file,))
     truth = _ground_truth(cfg, current)
     test = _test_split(current, cfg.train_fraction)
     span = (int(test.timestamps[0]), int(test.timestamps[-1]))

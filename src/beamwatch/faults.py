@@ -36,8 +36,8 @@ class FaultEvent:
 def parse_fault_events(text: str | bytes) -> list[FaultEvent]:
     """Parse a fault CSV with header `start[,end][,label]`.
 
-    Point events (no end column) get end = start. Events with identical
-    start and end are deduplicated. Output is sorted by start.
+    Point events (no end column) get end = start. Events come in file
+    order, duplicates included: `merge_event_lists` sorts and folds them.
     """
     lines = as_text(text).splitlines()
     if not lines or lines[0].split(",")[0].strip() != "start":
@@ -58,13 +58,7 @@ def parse_fault_events(text: str | bytes) -> list[FaultEvent]:
             raise RangeError(f"line {lineno}: end {end} before start {start}")
         source = parts[2] if len(parts) > 2 and parts[2] else SOURCE_RECORDED
         events.append(FaultEvent(start, end, source))
-    events.sort(key=lambda e: (e.start, e.end))
-    deduped: list[FaultEvent] = []
-    for e in events:
-        if deduped and (e.start, e.end) == (deduped[-1].start, deduped[-1].end):
-            continue
-        deduped.append(e)
-    return deduped
+    return events
 
 
 def _epoch_second(field: str) -> int:

@@ -1,10 +1,11 @@
-"""Small file helpers: every input is parsed through `read_input`, or read
-as it is parsed through `stream_input`, so an error in it names the file,
-and every output is written atomically, so a failing run never leaves a
-partial file behind (`remove_file` deletes an output that a run makes
-stale). A parse-cache hit compares an input with the copy in its entry a
-chunk at a time and maps the entry read-only (`map_entry_of`), so it never
-holds a whole file in memory."""
+"""Small file helpers: every input is parsed through `read_input`, or
+through its parse-cache entry with `read_cached`, so an error in it names
+the file, and every output is written atomically, so a failing run never
+leaves a partial file behind (`remove_file` deletes an output that a run
+makes stale). `read_cached` owns the entry's location, layout and checks:
+a hit compares the input with the copy in its entry a chunk at a time and
+maps the entry read-only, and a miss hands the parse the input as it is
+read, so neither holds a whole file in memory."""
 
 from __future__ import annotations
 
@@ -49,14 +50,6 @@ def read_input(path: str | Path, parse, *args):
         return parse(Path(path).read_bytes(), *args)
 
 
-def stream_input(path: str | Path, parse, *args):
-    """Return `parse(fh, *args)` for `path` open as a binary file, which
-    `parse` reads as it goes, so the file need not be held whole; errors
-    name the file as `read_input`'s do."""
-    with _errors_name(path), open(path, "rb") as fh:
-        return parse(fh, *args)
-
-
 def as_text(source: str | bytes) -> str:
     """`source` itself, or its bytes decoded as UTF-8."""
     return source if isinstance(source, str) else source.decode("utf-8")
@@ -67,25 +60,55 @@ def as_text(source: str | bytes) -> str:
 _COMPARE_CHUNK = 1 << 16
 
 
-def map_entry_of(entry_path: str | Path, path: str | Path, tag: bytes
-                 ) -> tuple[int, memoryview] | None:
-    """The count n and the read-only mapped payload of the cache entry
-    `entry_path`, or None unless it holds a copy of the bytes of `path`.
+def read_cached(path: str | Path, cache_dir: str | Path, tag: bytes, view, parse):
+    """The value of the input `path` through its parse-cache entry
+    `<cache_dir>/<stem of path>`.
 
-    An entry is `tag`, the length L of the copy and n (uint64 LE each), the
-    L bytes, zero padding to a multiple of 8, then the payload. The copy is
-    read through the entry's file, never its map, and compared with `path`
-    a chunk at a time as both are read; a missing entry, a short read, a
-    length that differs, a byte that differs and padding that is not zero
-    each give None. Map only files that are replaced by rename, never
-    rewritten in place: reading a page that a truncation removed kills the
-    process (SIGBUS). The map closes when the last object viewing it is freed.
+    An entry is `tag`, the length L of a copy of the input and a count n
+    (uint64 LE each), the L bytes, zero padding to a multiple of 8, then a
+    table of 16·n bytes. A hit is an entry of `tag` whose copy equals the
+    input and whose read-only mapped table `view(n, table)` turns into the
+    value, not None. Else `parse(src, copy)` reads the input, rewound, from
+    the same buffered file, hands its bytes to `copy` and returns the value
+    and the table's arrays, which follow them into the entry's temp file,
+    discarded if the parse fails; any error names `path`, as `read_input`'s
+    do.
+    """
+    entry_path = Path(cache_dir) / Path(path).stem
+    with open(path, "rb") as src:  # buffered: a parse may read a line at a time
+        cached = _mapped_table(entry_path, src, tag)
+        if cached is not None and (value := view(*cached)) is not None:
+            return value
+        src.seek(0)
+        head = len(tag) + 16
+        with atomic_writer(entry_path, binary=True) as entry, _errors_name(path):
+            entry.write(bytes(head))  # the header goes in once the parse is done
+            value, tables = parse(src, entry.write)
+            size = entry.tell() - head
+            entry.writelines([bytes(-size % 8), *tables])
+            entry.seek(0)
+            entry.write(tag + size.to_bytes(8, "little") + len(tables[0]).to_bytes(8, "little"))
+    return value
+
+
+def _mapped_table(entry_path: Path, src: IO[bytes], tag: bytes
+                  ) -> tuple[int, memoryview] | None:
+    """The count n and the read-only mapped table of the entry `entry_path`,
+    or None unless it holds a copy of the bytes of `src`.
+
+    The copy is read through the entry's file, never its map, and compared
+    with `src` a chunk at a time as both are read; a missing entry, a short
+    read, a length that differs, a byte that differs, padding that is not
+    zero and a table that is not 16·n bytes each give None. Map only files
+    that are replaced by rename, never rewritten in place: reading a page
+    that a truncation removed kills the process (SIGBUS). The map closes
+    when the last object viewing it is freed.
     """
     try:
         entry = open(entry_path, "rb", buffering=0)
     except FileNotFoundError:
         return None
-    with entry, open(path, "rb", buffering=0) as src:
+    with entry:
         head = entry.read(len(tag) + 16)
         if len(head) != len(tag) + 16 or head[:len(tag)] != tag:
             return None
@@ -98,10 +121,11 @@ def map_entry_of(entry_path: str | Path, path: str | Path, tag: bytes
             left -= k
         if left or entry.read(-size % 8) != bytes(-size % 8):  # left < 0: a longer input
             return None
-        # map from the page of the byte before the payload: the copy stays out of RSS
+        # map from the page of the byte before the table: the copy stays out of RSS
         at = (entry.tell() - 1) // mmap.ALLOCATIONGRANULARITY * mmap.ALLOCATIONGRANULARITY
         mapped = mmap.mmap(entry.fileno(), 0, access=mmap.ACCESS_READ, offset=at)
-        return n, memoryview(mapped)[entry.tell() - at:]
+        table = memoryview(mapped)[entry.tell() - at:]
+        return (n, table) if len(table) == 16 * n else None
 
 
 @contextlib.contextmanager

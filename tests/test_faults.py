@@ -25,6 +25,30 @@ def seconds(events):
     return {t for e in events for t in range(e.start, e.end + 1)}
 
 
+@st.composite
+def fault_files(draw):
+    """The events of one to three fault files: rows in any order, some of
+    them repeated, with their own label or another."""
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        events = draw(st.lists(EVENT, max_size=8))
+        if events:
+            again = st.sampled_from(events).flatmap(
+                lambda e: st.sampled_from([e, FaultEvent(e.start, e.end, "other")]))
+            events += draw(st.lists(again, max_size=4))
+        files.append(draw(st.permutations(events)))
+    return files
+
+
+def sorted_unique(events):
+    """`events` sorted by (start, end), keeping the first of equal intervals."""
+    kept = []
+    for e in sorted(events, key=lambda e: (e.start, e.end)):
+        if not kept or (e.start, e.end) != (kept[-1].start, kept[-1].end):
+            kept.append(e)
+    return kept
+
+
 def current_series(values, start=0):
     values = np.asarray(values, dtype=np.float64)
     ts = np.arange(start, start + len(values), dtype=np.float64)
@@ -39,13 +63,19 @@ class TestParseFaultEvents:
     def test_empty_file(self):
         assert faults.parse_fault_events("start,end,label\n") == []
 
-    def test_duplicates_removed(self):
-        events = faults.parse_fault_events("start\n100\n100\n")
-        assert events == [FaultEvent(100, 100, "recorded")]
-
-    def test_sorted_by_start(self):
-        events = faults.parse_fault_events("start,end\n200,210\n100,105\n")
-        assert [e.start for e in events] == [100, 200]
+    # the parser keeps rows as the file has them; the ground truth that
+    # merge_event_lists makes of them is the same as when it sorted them by
+    # (start, end) and kept the first of equal intervals
+    @settings(deadline=None)
+    @given(files=fault_files(), values=st.lists(st.sampled_from([0.0, 90.0]), min_size=1,
+                                                max_size=40),
+           first=st.integers(-50, 200), gap=st.integers(0, 3))
+    def test_merge_sorts_and_folds_what_the_parser_keeps(self, files, values, first, gap):
+        lists = [faults.parse_fault_events(faults.format_fault_csv(events)) for events in files]
+        assert lists == files
+        drops = faults.detect_current_drops(current_series(values, first), 10.0)
+        assert faults.merge_event_lists([*lists, drops], gap) == \
+            faults.merge_event_lists([*map(sorted_unique, lists), drops], gap)
 
     def test_end_and_label_columns(self):
         events = faults.parse_fault_events("start,end,label\n50,60,current_drop\n")
@@ -88,11 +118,8 @@ class TestParseFaultEvents:
     @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 100), st.integers(0, 99),
                                    st.text(LABEL_CHARS, min_size=1, max_size=12))))
     def test_round_trip_property(self, rows):
-        # the parser sorts by (start, end) and keeps the first of equal pairs
-        by_span = {}
-        for start, length, label in rows:
-            by_span.setdefault((start, start + length), label)
-        events = [FaultEvent(s, e, label) for (s, e), label in sorted(by_span.items())]
+        # in file order, duplicates included
+        events = [FaultEvent(start, start + length, label) for start, length, label in rows]
         assert faults.parse_fault_events(faults.format_fault_csv(events)) == events
 
     def test_event_invariant(self):

@@ -1,7 +1,7 @@
-"""Tests for the input reader, which hands parsers bytes, the parse cache's
-byte comparison and read-only map, and the atomic writers: content,
-encoding, replacement, file mode and clean-up after a failure inside the
-`with` block."""
+"""Tests for the input reader, which hands parsers bytes, the parse cache
+(its byte comparison, read-only map, and a miss's rewound input and entry),
+and the atomic writers: content, encoding, replacement, file mode and
+clean-up after a failure inside the `with` block."""
 
 import mmap
 import os
@@ -13,8 +13,7 @@ import numpy as np
 
 from beamwatch import ioutil
 from beamwatch.errors import DataError, ParseError
-from beamwatch.ioutil import (as_text, atomic_write_text, atomic_writer, map_entry_of,
-                              read_input, stream_input)
+from beamwatch.ioutil import as_text, atomic_write_text, atomic_writer, read_cached, read_input
 
 
 @pytest.fixture
@@ -107,18 +106,41 @@ def entry_bytes(tag: bytes, copy: bytes, n: int, payload: bytes) -> bytes:
             + bytes(-len(copy) % 8) + payload)
 
 
+class Miss(Exception):
+    """What `hit_of`'s parse raises: the read was not a hit."""
+
+
+def hit_of(tmp_path, tag: bytes):
+    """(n, table) of the entry `tmp_path/cache/in` that `read_cached` views
+    for the input `tmp_path/in`, or None on a miss."""
+    def parse(src, copy):
+        raise Miss
+
+    try:
+        return read_cached(tmp_path / "in", tmp_path / "cache", tag,
+                           lambda n, table: (n, table), parse)
+    except Miss:
+        return None
+
+
+def write_entry(tmp_path, raw: bytes):
+    (tmp_path / "cache").mkdir(exist_ok=True)
+    (tmp_path / "cache" / "in").write_bytes(raw)
+
+
 SIZES = [0, 1, 7, ioutil._COMPARE_CHUNK - 1, ioutil._COMPARE_CHUNK,
          ioutil._COMPARE_CHUNK + 1, 3 * ioutil._COMPARE_CHUNK + 5]
 
 
-@pytest.mark.parametrize("payload", [b"payload!" * 3, b""], ids=["payload", "none"])
+@pytest.mark.parametrize("n", [3, 0], ids=["payload", "none"])
 @pytest.mark.parametrize("size", SIZES + [2 * mmap.ALLOCATIONGRANULARITY - 24])
-def test_map_entry_of_a_copy_maps_its_payload(tmp_path, size, payload):
+def test_hit_maps_the_table(tmp_path, size, n):
     raw = np.random.default_rng(size).bytes(size)
+    payload = b"payload!" * 2 * n
     (tmp_path / "in").write_bytes(raw)
-    (tmp_path / "entry").write_bytes(entry_bytes(b"8bytetag", raw, 3, payload))
-    n, mapped = map_entry_of(tmp_path / "entry", tmp_path / "in", b"8bytetag")
-    assert n == 3 and mapped.tobytes() == payload
+    write_entry(tmp_path, entry_bytes(b"8bytetag", raw, n, payload))
+    got, mapped = hit_of(tmp_path, b"8bytetag")
+    assert got == n and mapped.tobytes() == payload
     # the map holds no more than one page of the copy, even where the copy
     # ends on a page
     assert len(mapped.obj) - len(payload) <= mmap.ALLOCATIONGRANULARITY
@@ -127,22 +149,35 @@ def test_map_entry_of_a_copy_maps_its_payload(tmp_path, size, payload):
 
 
 @pytest.mark.parametrize("size", SIZES[1:])
-def test_map_entry_of_any_other_input_is_none(tmp_path, size):
+def test_any_other_input_or_entry_is_a_miss(tmp_path, size):
     raw = np.random.default_rng(size).bytes(size)
-    entry = entry_bytes(b"tag", raw, 0, b"")
-    (tmp_path / "entry").write_bytes(entry)
+    entry = entry_bytes(b"tag", raw, 1, bytes(16))
+    write_entry(tmp_path, entry)
     for other in (raw[:-1], raw + b"\0", b"\0" + raw[1:] if raw[0] else b"\1" + raw[1:],
                   raw[:-1] + bytes([raw[-1] ^ 128])):
         (tmp_path / "in").write_bytes(other)
-        assert map_entry_of(tmp_path / "entry", tmp_path / "in", b"tag") is None
+        assert hit_of(tmp_path, b"tag") is None
     (tmp_path / "in").write_bytes(raw)
-    # the copy cut short, the header cut short, a foreign tag and (where
-    # there is padding) padding that is not zero
-    damaged = [entry[:len(entry) - 1 - -size % 8], b"tag", b"", b"gat" + entry[3:]]
-    for damage in damaged + [entry[:-1] + b"\1"] * bool(size % 8):
-        (tmp_path / "entry").write_bytes(damage)
-        assert map_entry_of(tmp_path / "entry", tmp_path / "in", b"tag") is None
-    assert map_entry_of(tmp_path / "missing", tmp_path / "in", b"tag") is None
+    # the copy cut short, the header cut short, a foreign tag, a table that
+    # is not 16·n bytes and (where there is padding) padding that is not zero
+    damaged = [entry[:len(entry) - 17 - -size % 8], b"tag", b"", b"gat" + entry[3:],
+               entry[:-1], entry + bytes(16)]
+    for damage in damaged + [entry[:-17] + b"\1" + entry[-16:]] * bool(size % 8):
+        write_entry(tmp_path, damage)
+        assert hit_of(tmp_path, b"tag") is None
+    (tmp_path / "cache" / "in").unlink()
+    assert hit_of(tmp_path, b"tag") is None
+    write_entry(tmp_path, entry)
+    assert hit_of(tmp_path, b"tag")[0] == 1
+
+
+def test_a_copy_cut_short_is_a_miss(tmp_path):
+    # the second chunk of the input equals the first, which the compare
+    # buffer still holds when the entry's copy ends after one chunk
+    chunk = np.random.default_rng(0).bytes(ioutil._COMPARE_CHUNK)
+    (tmp_path / "in").write_bytes(chunk * 2)
+    write_entry(tmp_path, entry_bytes(b"tag", chunk * 2, 0, b"")[:-len(chunk)])
+    assert hit_of(tmp_path, b"tag") is None
 
 
 def test_read_input_hands_over_the_bytes(tmp_path):
@@ -165,36 +200,43 @@ def test_read_input_names_the_file(tmp_path):
         read_input(path, reject)
 
 
-def test_stream_input_hands_over_the_open_file(tmp_path):
-    path = tmp_path / "in.csv"
-    path.write_bytes(b"a\r\nb\xc2\xb5\r")
+@pytest.mark.parametrize("stale", [None, b"a\r\nb\xc2\xb5?", b"a\r\n"],
+                         ids=["no entry", "compared to the last byte", "longer input"])
+def test_miss_hands_the_parse_the_rewound_buffered_file(tmp_path, stale):
+    raw = b"a\r\nb\xc2\xb5\r"
+    (tmp_path / "in").write_bytes(raw)
+    if stale is not None:  # the hit test reads the input before it fails
+        write_entry(tmp_path, entry_bytes(b"tag", stale, 0, b""))
     handles = []
 
-    def parse(fh, size):
-        handles.append(fh)
-        return fh.read(size), fh.read()
+    def parse(src, copy):
+        handles.append(src)
+        line, rest = src.readline(), src.read()
+        copy(line)
+        copy(memoryview(rest))
+        table = np.frombuffer(b"12345678" * 4, "<i8")
+        return (line, rest), [table[:1], table[1:]]
 
-    assert stream_input(path, parse, 3) == (b"a\r\n", b"b\xc2\xb5\r")
-    assert handles[0].closed
+    got = read_cached(tmp_path / "in", tmp_path / "cache", b"tag", None, parse)
+    assert got == (b"a\r\n", b"b\xc2\xb5\r")
+    assert handles[0].closed and hasattr(handles[0], "peek")  # a buffered file
+    # the copy, the padding, then the tables, under the header
+    assert (tmp_path / "cache" / "in").read_bytes() == \
+        entry_bytes(b"tag", raw, 1, b"12345678" * 4)
 
 
-def test_stream_input_names_the_file(tmp_path):
-    path = tmp_path / "in.csv"
+def test_miss_names_the_file_and_caches_nothing(tmp_path):
+    path = tmp_path / "in"
     path.write_bytes(b"ok\xff")
-    with pytest.raises(ParseError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
-        stream_input(path, lambda fh: fh.read().decode("utf-8"))
 
-    def reject(fh):
+    with pytest.raises(ParseError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
+        read_cached(path, tmp_path / "cache", b"tag", None,
+                    lambda src, copy: (src.read().decode("utf-8"), []))
+
+    def reject(src, copy):
+        copy(src.read())
         raise DataError("no rows")
 
     with pytest.raises(DataError, match=f"^{path}: no rows$"):
-        stream_input(path, reject)
-
-
-def test_map_entry_of_a_copy_cut_short_is_none(tmp_path):
-    # the second chunk of the input equals the first, which the compare
-    # buffer still holds when the entry's copy ends after one chunk
-    chunk = np.random.default_rng(0).bytes(ioutil._COMPARE_CHUNK)
-    (tmp_path / "in").write_bytes(chunk * 2)
-    (tmp_path / "entry").write_bytes(entry_bytes(b"tag", chunk * 2, 0, b"")[:-len(chunk)])
-    assert map_entry_of(tmp_path / "entry", tmp_path / "in", b"tag") is None
+        read_cached(path, tmp_path / "cache", b"tag", None, reject)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
