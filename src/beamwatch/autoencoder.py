@@ -6,8 +6,8 @@ hidden state and reconstructed back to a k x m matrix; training minimizes
 the mean absolute reconstruction error with Adam.
 
 The three weight layers are listed once, in `_LAYERS`: the flat parameter
-and gradient dicts and the model file's layer sections all walk that table
-and each layer class's `TENSORS`.
+and gradient dicts walk that table and each layer class's `TENSORS`. Each
+model-file section is written and read by walking its dataclass's fields.
 
 Training and inference run the same batched forward from `nn`. Its edges
 are time-major ([k, n, m] windows in, reconstructions out); inside, every
@@ -28,7 +28,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -453,19 +453,36 @@ def _json_strings(value, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _layer_to_doc(layer) -> dict:
-    """A layer's model-file section: its fields in order, each of its
-    TENSORS as a tensor doc and the others (its dimensions) as they are."""
-    doc = {f.name: getattr(layer, f.name) for f in fields(layer)}
-    return doc | {name: _tensor_to_doc(doc[name]) for name in layer.TENSORS}
+# The JSON reader of each declared field type of a model-file section, by
+# its text: the modules declaring the sections postpone their annotations.
+_JSON_READERS = {"int": _json_int, "float": _json_number, "np.ndarray": _json_numbers,
+                 "tuple[str, ...]": _json_strings}
 
 
-def _layer_from_doc(cls, doc: dict, section: str):
-    """Read a `cls` layer from its section: each of its TENSORS as a tensor
-    doc, each other field as a JSON integer; errors name the section."""
+def _to_doc(section) -> dict | None:
+    """A model-file section, null if unset: its dataclass's fields in order,
+    each of a layer's TENSORS as a tensor doc, any other array as a list and
+    the rest as they are (JSON writes a tuple as a list)."""
+    if section is None:
+        return None
+    doc = {f.name: getattr(section, f.name) for f in fields(section)}
+    return {name: _tensor_to_doc(v) if name in getattr(section, "TENSORS", ()) else
+            v.tolist() if isinstance(v, np.ndarray) else v for name, v in doc.items()}
+
+
+def _from_doc(cls, doc: dict, section: str):
+    """Read a `cls` section: a layer's TENSORS as tensor docs, each other
+    field by the JSON reader of its declared type or, with none, by `cls`
+    itself (a tuple as a tuple). A reader's error names `section.field`,
+    a shape or finiteness error `section`."""
+    values = {}
+    for f in fields(cls):
+        reader = (_tensor_from_doc if f.name in getattr(cls, "TENSORS", ())
+                  else _JSON_READERS.get(f.type))
+        values[f.name] = (reader(doc[f.name], f"{section}.{f.name}") if reader else
+                          tuple(doc[f.name]) if f.type.startswith("tuple[") else doc[f.name])
     try:
-        return cls(**{f.name: (_tensor_from_doc if f.name in cls.TENSORS else _json_int)(
-            doc[f.name], f"{section}.{f.name}") for f in fields(cls)})
+        return cls(**values)
     except (ShapeError, NumericError) as exc:
         raise ParseError(f"{section}: {exc}") from None
 
@@ -477,19 +494,13 @@ def model_to_json(model: ModelArtifact) -> str:
     little-endian float64 bytes, so save/load is bitwise exact. Config,
     channel stats, threshold and provenance are plain JSON values.
     """
-    stats = model.channel_stats
-    prov = model.provenance
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": asdict(model.config),
-        "channel_stats": None if stats is None else {
-            "channels": list(stats.channels),
-            "mean": stats.mean.tolist(),
-            "std": stats.std.tolist(),
-        },
+        "config": _to_doc(model.config),
+        "channel_stats": _to_doc(model.channel_stats),
         "threshold": model.threshold,
-        "provenance": None if prov is None else asdict(prov),
-        **{field: _layer_to_doc(getattr(model, field)) for field, _, _ in _LAYERS},
+        "provenance": _to_doc(model.provenance),
+        **{field: _to_doc(getattr(model, field)) for field, _, _ in _LAYERS},
     }
     return json.dumps(doc, allow_nan=False)
 
@@ -497,11 +508,8 @@ def model_to_json(model: ModelArtifact) -> str:
 def model_from_json(text: str | bytes) -> ModelArtifact:
     """Parse a model document; schema mismatches (VersionError; a v1
     document must be retrained) and malformed or invalid content
-    (ParseError: missing fields, config, threshold or channel-stats values
-    of the wrong JSON type or beyond the float64 range, bad tensor
-    payloads, wrong shapes, non-finite weights or channel stats; layer
-    errors name the layer) are rejected outright (no partially loaded
-    model)."""
+    (ParseError, naming the field or the section at fault) are rejected
+    outright (no partially loaded model)."""
     try:
         doc = json.loads(as_text(text))
     except json.JSONDecodeError as exc:
@@ -518,29 +526,17 @@ def model_from_json(text: str | bytes) -> ModelArtifact:
         raise VersionError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
+
+    def optional(cls, section):
+        return None if doc[section] is None else _from_doc(cls, doc[section], section)
     try:
-        cfg_doc = doc["config"]
-        config = AutoencoderConfig(
-            **{key: _json_int(cfg_doc[key], f"config.{key}")
-               for key in ("window_k", "feature_m", "hidden_dim", "seed")},
-            dropout_rate=_json_number(cfg_doc["dropout_rate"], "config.dropout_rate"),
-        )
-        stats_doc = doc["channel_stats"]
-        stats = None if stats_doc is None else ChannelStats(
-            channels=_json_strings(stats_doc["channels"], "channel_stats.channels"),
-            mean=_json_numbers(stats_doc["mean"], "channel_stats.mean"),
-            std=_json_numbers(stats_doc["std"], "channel_stats.std"),
-        )
         threshold = doc["threshold"]
-        if threshold is not None:
-            threshold = _json_number(threshold, "threshold")
-        layers = {field: _layer_from_doc(cls, doc[field], field) for field, _, cls in _LAYERS}
-        prov = doc["provenance"]
-        provenance = None if prov is None else Provenance(
-            beamwatch_version=prov["beamwatch_version"],
-            train_span=tuple(prov["train_span"]), n_windows=prov["n_windows"])
-        return ModelArtifact(config=config, **layers, channel_stats=stats,
-                             threshold=threshold, provenance=provenance)
+        return ModelArtifact(
+            config=_from_doc(AutoencoderConfig, doc["config"], "config"),
+            channel_stats=optional(ChannelStats, "channel_stats"),
+            threshold=None if threshold is None else _json_number(threshold, "threshold"),
+            **{field: _from_doc(cls, doc[field], field) for field, _, cls in _LAYERS},
+            provenance=optional(Provenance, "provenance"))
     except (KeyError, TypeError, ValueError, BeamwatchError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None
 

@@ -227,13 +227,14 @@ class _BlockDecodeError(UnicodeDecodeError):
 
 def read_series(fh: BinaryIO, channel_name: str,
                 copy: Callable[[bytes], object] = lambda block: None) -> RawSeries:
-    """The series of the series CSV in the binary file `fh`, at its start.
-    A first pass counts line ends to size the [2, rows] float64 table
+    """The series of the series CSV in the binary file `fh`, read from its
+    start. A first pass counts line ends to size the [2, rows] float64 table
     (stamps, then values) of a cache entry, which doubles if they fall
     short. A second parses each `_line_blocks` into it alone, after handing
     it to `copy`: plain, finite rows after the last stamp with
     `loadtxt`, others with the line loop, which names an error's line. A
     decode error comes first, as for the whole file."""
+    fh.seek(0)
     table = np.empty((2, sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
                              for chunk in iter(lambda: fh.read(_PARSE_BLOCK_BYTES), b""))))
     fh.seek(0)

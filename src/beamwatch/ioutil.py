@@ -68,11 +68,12 @@ def read_cached(path: str | Path, cache_dir: str | Path, tag: bytes, view, parse
     (uint64 LE each), the L bytes, zero padding to a multiple of 8, then a
     table of 16·n bytes. A hit is an entry of `tag` whose copy equals the
     input and whose read-only mapped table `view(n, table)` turns into the
-    value, not None. Else `parse(src, copy)` reads the input, rewound, from
-    the same buffered file, hands its bytes to `copy` and returns the value
-    and the table's arrays, which follow them into the entry's temp file,
-    discarded if the parse fails; any error names `path`, as `read_input`'s
-    do.
+    value, not None; `view` re-checks only the invariants the pipeline
+    relies on, so an edit to the table that keeps them is served. Else
+    `parse(src, copy)` reads the input, rewound, from the same buffered
+    file, hands its bytes to `copy` and returns the value and the table's
+    arrays, which follow them into the entry's temp file, discarded if the
+    parse fails; any error names `path`, as `read_input`'s do.
     """
     entry_path = Path(cache_dir) / Path(path).stem
     with open(path, "rb") as src:  # buffered: a parse may read a line at a time

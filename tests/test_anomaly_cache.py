@@ -104,6 +104,23 @@ def test_damaged_entry_is_a_miss_and_rewritten(box, damage):
     assert entry.read_bytes() == intact
 
 
+@pytest.mark.parametrize("field, value", [("error", 9.5), ("timestamp", 3)])
+def test_entry_edited_within_the_checked_invariants_is_served(box, field, value):
+    # a hit checks only that every error is finite, as a parse makes it: an
+    # edited stamp, or an error edited to another finite value, is served
+    path, out = box
+    size = read(path, out).nbytes  # the entry ends with the table
+    entry = entry_of(out)
+    intact = entry.read_bytes()
+    table = np.frombuffer(intact[-size:], dtype=detect.ANOMALY_DTYPE).copy()
+    table[field][0] = value
+    edited = intact[:-size] + table.tobytes()
+    entry.write_bytes(edited)
+    with no_parse():
+        assert read(path, out)[field][0] == value
+    assert entry.read_bytes() == edited
+
+
 def _eval(box: Path, capsys) -> tuple[int, dict | None, str]:
     code = cli.main(["eval", "--config", str(box / "run.cfg")])
     report = box / "out" / "eval_report.json"

@@ -697,12 +697,14 @@ class TestTensorPayloads:
 
     def test_document_key_order(self):
         prov = ae.Provenance("0.1.0", (3600, 5399), 1771)
-        doc = json.loads(ae.model_to_json(dataclasses.replace(ae.init_model(TINY),
-                                                              provenance=prov)))
+        stats = ChannelStats(("a", "b"), np.zeros(2), np.ones(2))
+        doc = json.loads(ae.model_to_json(dataclasses.replace(
+            ae.init_model(TINY), channel_stats=stats, threshold=0.5, provenance=prov)))
         assert list(doc) == ["schema_version", "config", "channel_stats", "threshold",
                              "provenance", "encoder_lstm", "decoder_lstm", "output_dense"]
         assert list(doc["config"]) == ["window_k", "feature_m", "hidden_dim",
                                        "dropout_rate", "seed"]
+        assert list(doc["channel_stats"]) == ["channels", "mean", "std"]
         assert list(doc["provenance"]) == ["beamwatch_version", "train_span", "n_windows"]
         for section in ("encoder_lstm", "decoder_lstm"):
             assert list(doc[section]) == ["input_dim", "hidden_dim",
@@ -717,6 +719,38 @@ class TestTensorPayloads:
         assert ae.model_from_json(text).provenance == prov
         assert ae.model_to_json(ae.model_from_json(text)) == text
         assert ae.init_model(TINY).provenance is None
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.none() | st.tuples(st.tuples(st.text(), st.text()),
+                                 hnp.arrays(np.float64, 2, elements=FINITE_F8),
+                                 hnp.arrays(np.float64, 2, elements=st.floats(
+                                     min_value=0, exclude_min=True, allow_infinity=False))),
+           st.none() | st.floats(min_value=0, allow_infinity=False),
+           st.none() | st.tuples(st.text(), st.integers(-2**63, 2**63 - 1),
+                                 st.integers(0, 2**40), st.integers(1, 2**40)))
+    def test_any_optional_sections_round_trip(self, stats, threshold, prov):
+        # each of channel_stats, threshold and provenance present or absent
+        model = dataclasses.replace(
+            ae.init_model(TINY), channel_stats=stats and ChannelStats(*stats),
+            threshold=threshold,
+            provenance=prov and ae.Provenance(prov[0], (prov[1], prov[1] + prov[2]), prov[3]))
+        text = ae.model_to_json(model)
+        loaded = ae.model_from_json(text)
+        assert ae.model_to_json(loaded) == text
+        assert (loaded.threshold, loaded.provenance) == (model.threshold, model.provenance)
+        assert (loaded.channel_stats is None) == (model.channel_stats is None)
+        if stats:
+            assert loaded.channel_stats.channels == model.channel_stats.channels
+            assert loaded.channel_stats.mean.tobytes() == model.channel_stats.mean.tobytes()
+            assert loaded.channel_stats.std.tobytes() == model.channel_stats.std.tobytes()
+
+    def test_non_integer_n_windows_names_the_field(self):
+        doc = json.loads(ae.model_to_json(ae.init_model(TINY)))
+        doc["provenance"] = {"beamwatch_version": "0.1.0", "train_span": [4, 5],
+                             "n_windows": 2.0}
+        with pytest.raises(ParseError, match="^malformed model document: provenance.n_windows "
+                                             "must be a JSON integer, got 2.0$"):
+            ae.model_from_json(json.dumps(doc))
 
     @staticmethod
     def _bias_doc(mutate):

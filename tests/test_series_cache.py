@@ -165,14 +165,14 @@ def test_cold_read_of_any_text_matches_the_line_loop(text, block):
 
 
 class GrowsOnRewind(io.BytesIO):
-    """A file that gains two rows on its first rewind, after the pass that
+    """A file that gains two rows on its second rewind, after the pass that
     counts its line ends."""
 
-    grown = False
+    rewinds = 0
 
     def seek(self, pos, whence=0):
-        if not self.grown:
-            self.grown = True
+        self.rewinds += 1
+        if self.rewinds == 2:
             super().seek(0, io.SEEK_END)
             self.write(b"5,1\n6,1\n")
         return super().seek(pos, whence)
@@ -181,11 +181,26 @@ class GrowsOnRewind(io.BytesIO):
 def test_more_rows_than_counted_grow_the_table():
     grown = GrowsOnRewind(b"timestamp,value\n0,1\n")
     copied = []
-    with no_line_loop():
+    with no_line_loop(), mock.patch.object(np, "hstack", wraps=np.hstack) as hstack:
         series = data.read_series(grown, "ch", copied.append)
+    assert hstack.call_count == 1
     assert series.timestamps.tolist() == [0, 5, 6] and series.values.tolist() == [1] * 3
     # a copy of the bytes that were parsed, not those the first pass counted
     assert b"".join(copied) == grown.getvalue()
+
+
+def test_part_read_file_is_counted_from_its_start(monkeypatch):
+    # a file handed over part-read is counted whole, so the table is sized
+    # once and never grows
+    monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 64)
+    raw = "\n".join(["timestamp,value", *(f"{t},{t / 8}" for t in range(300))]).encode()
+    fresh = data.read_series(io.BytesIO(raw), "ch")
+    fh = io.BytesIO(raw)
+    fh.seek(len(raw) // 2)
+    with mock.patch.object(np, "hstack", wraps=np.hstack) as hstack:
+        part_read = data.read_series(fh, "ch")
+    assert hstack.call_count == 0
+    assert arrays(part_read) == arrays(fresh)
 
 
 class Recorded(io.BytesIO):
@@ -206,16 +221,16 @@ class Recorded(io.BytesIO):
 
 @pytest.mark.parametrize("row", ["150,90.0", "150, 9_0.0", "150,9O.0", "149,90.0"],
                          ids=["plain", "non-plain", "malformed", "order"])
-def test_read_is_two_passes_with_one_rewind(monkeypatch, row):
+def test_read_is_two_passes_from_the_start(monkeypatch, row):
     monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 64)
     rows = [f"{t},90.0" for t in range(300)]
     rows[150] = row
     fh = Recorded("\n".join(["timestamp,value", *rows, ""]).encode())
     with contextlib.suppress(BeamwatchError):
         data.read_series(fh, "ch")
-    # one rewind, between the counting pass and the parse, and no read
-    # without a size
-    assert [call for call in fh.calls if call[0] == "seek"] == [("seek", 0, 0)]
+    # one rewind before the counting pass and one before the parse, and no
+    # read without a size
+    assert [call for call in fh.calls if call[0] == "seek"] == [("seek", 0, 0)] * 2
     assert all(call[1] == 64 for call in fh.calls if call[0] == "read")
 
 
@@ -470,6 +485,23 @@ def test_damaged_entry_is_a_miss_and_rewritten(box, damage):
     entry.write_bytes(damage(intact))
     assert arrays(read(path, out)) == good
     assert entry.read_bytes() == intact
+
+
+@pytest.mark.parametrize("column, value", [(1, 7.0), (0, 1.5)],
+                         ids=["value edited", "stamp edited in order"])
+def test_entry_edited_within_the_checked_invariants_is_served(box, column, value):
+    # a hit re-checks what the pipeline relies on, not that the table is the
+    # parse's: an edit that keeps the stamps increasing and the values
+    # finite is served as it stands, and the entry is not rewritten
+    path, out = box
+    read(path, out)
+    entry = entry_of(path, out)
+    edited = _payload(entry.read_bytes(), 1, column, value)
+    entry.write_bytes(edited)
+    with no_parse():
+        hit = read(path, out)
+    assert (hit.timestamps, hit.values)[column][1] == value
+    assert entry.read_bytes() == edited
 
 
 def test_deleted_cache_is_rebuilt(box):
