@@ -5,9 +5,10 @@ A window of k seconds and m channels is compressed into the encoder's final
 hidden state and reconstructed back to a k x m matrix; training minimizes
 the mean absolute reconstruction error with Adam.
 
-The three weight layers are listed once, in `_LAYERS`: the flat parameter
-and gradient dicts walk that table and each layer class's `TENSORS`. Each
-model-file section is written and read by walking its dataclass's fields.
+`ModelArtifact` declares the model once: its fields are the model file's
+sections, and those that hold a layer (with `TENSORS`) key the flat
+parameter and gradient dicts `<field>.<tensor>`. One walk over dataclass
+fields writes the file, and one reads it, each field by its type's reader.
 
 Training and inference run the same batched forward from `nn`. Its edges
 are time-major ([k, n, m] windows in, reconstructions out); inside, every
@@ -28,15 +29,16 @@ from __future__ import annotations
 import binascii
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
 from .data import ChannelStats, WindowSet
-from .errors import (BeamwatchError, ConfigError, DataError, NumericError, ParseError,
-                     ShapeError, VersionError)
+from .errors import (BeamwatchError, ConfigError, DataError, ParseError, ShapeError,
+                     VersionError)
 from .ioutil import as_text, atomic_write_text, read_input
 
 SCHEMA_VERSION = 2
@@ -58,8 +60,10 @@ class AutoencoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.window_k < 1 or self.feature_m < 1 or self.hidden_dim < 1:
-            raise ConfigError("window_k, feature_m, and hidden_dim must all be >= 1")
+        for name in ("window_k", "feature_m", "hidden_dim"):
+            if not 1 <= getattr(self, name) <= nn.DIM_MAX:
+                raise ConfigError(f"{name} must be in [1, {nn.DIM_MAX}], "
+                                  f"got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.seed < 0:
@@ -93,36 +97,28 @@ class Provenance:
 
     def __post_init__(self):
         if not isinstance(self.beamwatch_version, str):
-            raise ConfigError("provenance beamwatch_version must be a string")
+            raise ConfigError("beamwatch_version must be a string")
         span = self.train_span
         if not (len(span) == 2 and all(type(t) is int for t in span) and span[0] <= span[1]):
-            raise ConfigError(f"provenance train_span must be [first, last] epoch "
-                              f"seconds, got {list(span)}")
+            raise ConfigError(f"train_span must be [first, last] epoch seconds, "
+                              f"got {list(span)}")
         if type(self.n_windows) is not int or self.n_windows < 1:
-            raise ConfigError(f"provenance n_windows must be an integer >= 1, "
-                              f"got {self.n_windows!r}")
+            raise ConfigError(f"n_windows must be an integer >= 1, got {self.n_windows!r}")
 
 
-# The artifact's layers: its field (also the layer's section of the model
-# file), the prefix of the layer's tensors in the flat parameter and
-# gradient dicts, and the layer's class.
-_LAYERS = (("encoder_lstm", "encoder", nn.LstmLayerParams),
-           ("decoder_lstm", "decoder", nn.LstmLayerParams),
-           ("output_dense", "dense", nn.DenseParams))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelArtifact:
     """Weights plus the normalization stats and threshold needed to apply
-    the model to new data. Immutable; training returns updated copies."""
+    the model to new data; the fields are the model file's sections, in
+    its key order. Immutable; training returns updated copies."""
 
     config: AutoencoderConfig
-    encoder_lstm: nn.LstmLayerParams
-    decoder_lstm: nn.LstmLayerParams
-    output_dense: nn.DenseParams
     channel_stats: ChannelStats | None = None
     threshold: float | None = None
     provenance: Provenance | None = None
+    encoder_lstm: nn.LstmLayerParams
+    decoder_lstm: nn.LstmLayerParams
+    output_dense: nn.DenseParams
 
     def __post_init__(self):
         cfg = self.config
@@ -142,13 +138,19 @@ class ModelArtifact:
             raise ConfigError(f"threshold must be finite and nonnegative, got {self.threshold}")
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Flat name -> tensor dict for the optimizer and gradient oracle."""
-        return {name: tensor for field, prefix, _ in _LAYERS
-                for name, tensor in getattr(self, field).tensors(prefix).items()}
+        """`<field>.<tensor>` -> tensor, for the optimizer and gradient oracle."""
+        return {name: tensor for field, layer in _layers(self)
+                for name, tensor in layer.tensors(field).items()}
 
     def with_parameters(self, tensors: dict[str, np.ndarray]) -> "ModelArtifact":
-        return replace(self, **{field: getattr(self, field).with_tensors(prefix, tensors)
-                                for field, prefix, _ in _LAYERS})
+        return replace(self, **{field: layer.with_tensors(field, tensors)
+                                for field, layer in _layers(self)})
+
+
+def _layers(model: ModelArtifact) -> list[tuple[str, nn.LstmLayerParams | nn.DenseParams]]:
+    """(field, layer) for each field of `model` whose value names `TENSORS`."""
+    return [(f.name, getattr(model, f.name)) for f in fields(model)
+            if hasattr(getattr(model, f.name), "TENSORS")]
 
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
@@ -183,7 +185,8 @@ def init_model(config: AutoencoderConfig) -> ModelArtifact:
     dense_w = _glorot_uniform(rng, (config.feature_m, config.hidden_dim),
                               config.hidden_dim, config.feature_m)
     dense = nn.DenseParams(weight=dense_w, bias=np.zeros(config.feature_m))
-    return ModelArtifact(config, encoder, decoder, dense)
+    return ModelArtifact(config=config, encoder_lstm=encoder, decoder_lstm=decoder,
+                         output_dense=dense)
 
 
 def _check_batch(config: AutoencoderConfig, batch: np.ndarray) -> np.ndarray:
@@ -327,8 +330,8 @@ def _backward_batch(model: ModelArtifact, d_recon_tm: np.ndarray, cache) -> dict
                                        d_h_last=d_latent)
     grads = {"encoder_lstm": enc_grads, "decoder_lstm": dec_grads,
              "output_dense": {"weight": g_dense_w, "bias": g_dense_b}}
-    return {f"{prefix}.{name}": grads[field][name]
-            for field, prefix, cls in _LAYERS for name in cls.TENSORS}
+    return {f"{field}.{name}": grads[field][name]
+            for field, layer in _layers(model) for name in layer.TENSORS}
 
 
 def batch_loss_and_grads(model: ModelArtifact, batch: np.ndarray,
@@ -438,6 +441,18 @@ def _json_number(value, name: str) -> float:
         raise ParseError(f"{name} is beyond the float64 range") from None
 
 
+def _json_string(value, name: str) -> str:
+    if type(value) is not str:
+        raise ParseError(f"{name} must be a JSON string, got {json.dumps(value)}")
+    return value
+
+
+def _json_span(value, name: str) -> tuple[int, int]:
+    if type(value) is not list or len(value) != 2 or any(type(v) is not int for v in value):
+        raise ParseError(f"{name} must be a list of two JSON integers, got {json.dumps(value)}")
+    return tuple(value)
+
+
 def _json_numbers(value, name: str) -> np.ndarray:
     if type(value) is not list or any(type(v) not in (int, float) for v in value):
         raise ParseError(f"{name} must be a list of JSON numbers, got {json.dumps(value)}")
@@ -453,38 +468,54 @@ def _json_strings(value, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-# The JSON reader of each declared field type of a model-file section, by
-# its text: the modules declaring the sections postpone their annotations.
-_JSON_READERS = {"int": _json_int, "float": _json_number, "np.ndarray": _json_numbers,
-                 "tuple[str, ...]": _json_strings}
+def _to_doc(value):
+    """`value` as model-file JSON: a section (a dataclass, the artifact
+    itself included) as its fields in order, each of a layer's TENSORS as
+    a tensor doc; any other array as a list, and the rest as it is (an
+    unset section as null; JSON writes a tuple as a list)."""
+    if not is_dataclass(value):
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    tensors = getattr(value, "TENSORS", ())
+    return {f.name: (_tensor_to_doc if f.name in tensors else _to_doc)(getattr(value, f.name))
+            for f in fields(value)}
 
 
-def _to_doc(section) -> dict | None:
-    """A model-file section, null if unset: its dataclass's fields in order,
-    each of a layer's TENSORS as a tensor doc, any other array as a list and
-    the rest as they are (JSON writes a tuple as a list)."""
-    if section is None:
-        return None
-    doc = {f.name: getattr(section, f.name) for f in fields(section)}
-    return {name: _tensor_to_doc(v) if name in getattr(section, "TENSORS", ()) else
-            v.tolist() if isinstance(v, np.ndarray) else v for name, v in doc.items()}
-
-
-def _from_doc(cls, doc: dict, section: str):
-    """Read a `cls` section: a layer's TENSORS as tensor docs, each other
-    field by the JSON reader of its declared type or, with none, by `cls`
-    itself (a tuple as a tuple). A reader's error names `section.field`,
-    a shape or finiteness error `section`."""
+def _from_doc(cls, doc, section: str):
+    """Read a `cls` section, a JSON object with exactly its fields' keys: a
+    layer's TENSORS as tensor docs, each other field by its type's JSON
+    reader (or null for `X | None`). A reader's error names `section.field`
+    and a key or `cls` error `section`; the document's section is ""."""
+    at = f"{section}: " if section else ""
+    if type(doc) is not dict:
+        raise ParseError(f"{section} must be a JSON object, got {json.dumps(doc)}")
+    odd = sorted(doc.keys() ^ {f.name for f in fields(cls)})
+    if odd:
+        raise ParseError(f"{at}{'unknown' if odd[0] in doc else 'missing'} key "
+                         f"{json.dumps(odd[0])}")
     values = {}
     for f in fields(cls):
+        value, kind = doc[f.name], f.type.removesuffix(" | None")
         reader = (_tensor_from_doc if f.name in getattr(cls, "TENSORS", ())
-                  else _JSON_READERS.get(f.type))
-        values[f.name] = (reader(doc[f.name], f"{section}.{f.name}") if reader else
-                          tuple(doc[f.name]) if f.type.startswith("tuple[") else doc[f.name])
+                  else _JSON_READERS[kind])
+        values[f.name] = (None if value is None and kind != f.type else
+                          reader(value, f"{section}.{f.name}" if section else f.name))
     try:
         return cls(**values)
-    except (ShapeError, NumericError) as exc:
-        raise ParseError(f"{section}: {exc}") from None
+    except BeamwatchError as exc:
+        raise ParseError(f"{at}{exc}") from None
+
+
+# The JSON reader of each declared field type of a model-file section, by
+# its text: the modules declaring the sections postpone their annotations.
+# A field whose type is a section's class is read as that section.
+_JSON_READERS = {"int": _json_int, "float": _json_number, "str": _json_string,
+                 "tuple[int, int]": _json_span, "np.ndarray": _json_numbers,
+                 "tuple[str, ...]": _json_strings,
+                 "AutoencoderConfig": partial(_from_doc, AutoencoderConfig),
+                 "ChannelStats": partial(_from_doc, ChannelStats),
+                 "Provenance": partial(_from_doc, Provenance),
+                 "nn.LstmLayerParams": partial(_from_doc, nn.LstmLayerParams),
+                 "nn.DenseParams": partial(_from_doc, nn.DenseParams)}
 
 
 def model_to_json(model: ModelArtifact) -> str:
@@ -494,29 +525,22 @@ def model_to_json(model: ModelArtifact) -> str:
     little-endian float64 bytes, so save/load is bitwise exact. Config,
     channel stats, threshold and provenance are plain JSON values.
     """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _to_doc(model.config),
-        "channel_stats": _to_doc(model.channel_stats),
-        "threshold": model.threshold,
-        "provenance": _to_doc(model.provenance),
-        **{field: _to_doc(getattr(model, field)) for field, _, _ in _LAYERS},
-    }
-    return json.dumps(doc, allow_nan=False)
+    return json.dumps({"schema_version": SCHEMA_VERSION, **_to_doc(model)}, allow_nan=False)
 
 
 def model_from_json(text: str | bytes) -> ModelArtifact:
     """Parse a model document; schema mismatches (VersionError; a v1
     document must be retrained) and malformed or invalid content
-    (ParseError, naming the field or the section at fault) are rejected
+    (ParseError, naming the field, key or section at fault) are rejected
     outright (no partially loaded model)."""
+    text = as_text(text)
     try:
-        doc = json.loads(as_text(text))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
         raise ParseError(f"malformed model document: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ParseError("model document missing schema_version")
-    version = doc["schema_version"]
+    version = doc.pop("schema_version")
     if version == 1:
         raise VersionError(
             f"model schema_version 1 is no longer read (expected {SCHEMA_VERSION}); "
@@ -526,18 +550,9 @@ def model_from_json(text: str | bytes) -> ModelArtifact:
         raise VersionError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
-
-    def optional(cls, section):
-        return None if doc[section] is None else _from_doc(cls, doc[section], section)
     try:
-        threshold = doc["threshold"]
-        return ModelArtifact(
-            config=_from_doc(AutoencoderConfig, doc["config"], "config"),
-            channel_stats=optional(ChannelStats, "channel_stats"),
-            threshold=None if threshold is None else _json_number(threshold, "threshold"),
-            **{field: _from_doc(cls, doc[field], field) for field, _, cls in _LAYERS},
-            provenance=optional(Provenance, "provenance"))
-    except (KeyError, TypeError, ValueError, BeamwatchError) as exc:
+        return _from_doc(ModelArtifact, doc, "")
+    except ParseError as exc:
         raise ParseError(f"malformed model document: {exc}") from None
 
 

@@ -42,6 +42,10 @@ def _as_f64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
+# The largest dimension an array can have.
+DIM_MAX = int(np.iinfo(np.intp).max)
+
+
 class _LayerParams:
     """A layer's weights; the subclass names its weight tensors, in field
     order, in TENSORS. Its other dataclass fields are integer dimensions."""
@@ -76,8 +80,9 @@ class LstmLayerParams(_LayerParams):
     bias: np.ndarray
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise ShapeError("LSTM dimensions must be positive")
+        for name in ("input_dim", "hidden_dim"):
+            if not 1 <= getattr(self, name) <= DIM_MAX:
+                raise ShapeError(f"{name} must be in [1, {DIM_MAX}], got {getattr(self, name)}")
         h4 = 4 * self.hidden_dim
         if self.input_kernel.shape != (h4, self.input_dim):
             raise ShapeError(

@@ -28,7 +28,7 @@ def zero_weight_model(config: ae.AutoencoderConfig, dense_bias=None) -> ae.Model
     model = ae.init_model(config)
     params = {name: np.zeros_like(t) for name, t in model.parameters().items()}
     if dense_bias is not None:
-        params["dense.bias"] = np.asarray(dense_bias, dtype=np.float64)
+        params["output_dense.bias"] = np.asarray(dense_bias, dtype=np.float64)
     return model.with_parameters(params)
 
 
@@ -829,3 +829,111 @@ class TestTensorPayloads:
         with pytest.raises(VersionError, match="retrain") as info:
             ae.model_from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
+
+
+def full_doc() -> dict:
+    """A TINY model document with every optional section set."""
+    stats = ChannelStats(("a", "b"), np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+    model = dataclasses.replace(ae.init_model(TINY), channel_stats=stats, threshold=0.75,
+                                provenance=ae.Provenance("0.1.0", (3600, 5399), 1771))
+    return json.loads(ae.model_to_json(model))
+
+
+class TestDocumentWalk:
+    """The model file is one walk over `ModelArtifact`'s fields: its keys
+    are exact, and every field is read through a JSON reader."""
+
+    def test_every_field_type_has_a_reader(self):
+        # the artifact and each section it holds, found by walking a full model
+        sections = [ae.model_from_json(json.dumps(full_doc()))]
+        seen = set()
+        while sections:
+            section = sections.pop()
+            seen.add(type(section))
+            for f in dataclasses.fields(section):
+                if f.name in getattr(section, "TENSORS", ()):
+                    continue
+                reader = ae._JSON_READERS[f.type.removesuffix(" | None")]
+                value = getattr(section, f.name)
+                if dataclasses.is_dataclass(value):  # read as that section
+                    assert (reader.func, reader.args) == (ae._from_doc, (type(value),)), f.name
+                    sections.append(value)
+        assert seen == {ae.ModelArtifact, ae.AutoencoderConfig, ChannelStats, ae.Provenance,
+                        nn.LstmLayerParams, nn.DenseParams}
+
+    @pytest.mark.parametrize("section", [None, "config", "channel_stats", "provenance",
+                                         "encoder_lstm", "output_dense"])
+    def test_unknown_key_rejected(self, section):
+        doc = full_doc()
+        (doc[section] if section else doc)["extra"] = 1
+        where = f"{section}: " if section else ""
+        with pytest.raises(ParseError, match=f'^malformed model document: {where}'
+                                             f'unknown key "extra"$'):
+            ae.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("section,key", [(None, "provenance"), (None, "threshold"),
+                                             ("config", "seed"), ("decoder_lstm", "bias")])
+    def test_missing_key_rejected(self, section, key):
+        doc = full_doc()
+        del (doc[section] if section else doc)[key]
+        where = f"{section}: " if section else ""
+        with pytest.raises(ParseError, match=f'^malformed model document: {where}'
+                                             f'missing key "{key}"$'):
+            ae.model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("section,field", [
+        ("config", "window_k"), ("config", "feature_m"), ("config", "hidden_dim"),
+        ("encoder_lstm", "input_dim"), ("encoder_lstm", "hidden_dim"),
+        ("decoder_lstm", "input_dim"), ("decoder_lstm", "hidden_dim"),
+    ])
+    @pytest.mark.parametrize("value", [2**63, 10**400])
+    def test_dimension_beyond_intp_names_the_field(self, section, field, value):
+        doc = full_doc()
+        doc[section][field] = value
+        with pytest.raises(ParseError, match=f"^malformed model document: {section}: "
+                                             f"{field} must be in \\[1, {nn.DIM_MAX}\\], "
+                                             f"got {value}$"):
+            ae.model_from_json(json.dumps(doc))
+
+    def test_seed_is_unbounded(self):
+        config = dataclasses.replace(TINY, seed=2**70)
+        text = ae.model_to_json(ae.init_model(config))
+        assert ae.model_from_json(text).config == config
+        assert ae.model_to_json(ae.model_from_json(text)) == text
+
+    @pytest.mark.parametrize("text,reason", [
+        ('{"schema_version": 2, "seed": ' + "9" * 5000 + "}", "Exceeds the limit"),
+        ("[" * 100_000, "maximum recursion depth"),
+    ], ids=["integer-of-5000-digits", "nested-100000-deep"])
+    def test_json_the_decoder_refuses_is_a_parse_error(self, text, reason):
+        with pytest.raises(ParseError, match=f"^malformed model document: {reason}"):
+            ae.model_from_json(text)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_one_mutation_loads_or_names_its_place(self, data):
+        # one key deleted, added or given another JSON value, at the top
+        # level or in one section
+        doc = full_doc()
+        section = data.draw(st.sampled_from(
+            [None, *(key for key, value in doc.items() if isinstance(value, dict))]))
+        target = doc if section is None else doc[section]
+        action = data.draw(st.sampled_from(["delete", "add", "replace"]))
+        key = "extra" if action == "add" else data.draw(st.sampled_from(sorted(target)))
+        if action == "delete":
+            del target[key]
+        else:
+            target[key] = data.draw(st.sampled_from([None, True, 1, 1.5, "x", [], {}]))
+        text = json.dumps(doc)
+        if (section, key, action) == (None, "schema_version", "replace"):
+            with pytest.raises(VersionError):
+                ae.model_from_json(text)
+            return
+        try:
+            ae.model_from_json(text)
+        except ParseError as exc:
+            message = str(exc)
+            assert "\n" not in message
+            assert (section or key) in message
+            if action != "replace":
+                assert key in message

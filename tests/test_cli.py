@@ -358,6 +358,18 @@ class TestDerivedDataErrorsNameInputs:
                        "model's train span [0, 449]\n")
         assert _file_digests(root) == before
 
+    def test_detect_refuses_unknown_model_key(self, pipeline_dir, tmp_path, capsys):
+        root = tmp_path / "run"
+        shutil.copytree(pipeline_dir, root)
+        path = root / "model.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["window"] = 30
+        path.write_text(json.dumps(doc))
+        before = _file_digests(root)
+        err = self.run_fails(capsys, root, "detect")
+        assert err == f'error: {path}: malformed model document: config: unknown key "window"\n'
+        assert _file_digests(root) == before
+
     @pytest.mark.parametrize("command", ["train", "detect"])
     def test_disjoint_series_supports(self, pipeline_dir, tmp_path, capsys, command):
         root = tmp_path / "run"
